@@ -5,10 +5,12 @@ the number of maximal ASCII-letter runs ("words"), per-class character
 counts for the four character classes, and the number of distinct classes
 present. Policies and histograms are built entirely on these values.
 
-Classification is byte-oriented for ASCII text (the overwhelmingly common
-case in credential dumps) with a per-code-point fallback for anything else.
-Only ASCII a-z/A-Z count as letters; all other non-alphanumeric code points,
-including accented letters and whitespace, are symbols and break letter runs.
+Classification is byte-oriented: one byte per code point, looked up in a
+256-entry class table. Only ASCII a-z/A-Z count as letters; all other
+non-alphanumeric code points, including accented letters and whitespace,
+are symbols and break letter runs, so text is classified as its ASCII
+encoding with every other code point replaced by "?". Corpus scans call the
+byte helper directly on lines that are already ASCII, without decoding them.
 """
 
 from __future__ import annotations
@@ -83,12 +85,11 @@ def _build_class_table() -> bytes:
     return bytes(table)
 
 
-# Maps each byte to its class marker (l/u/d/s); non-ASCII bytes never reach
-# this table because the fast path is gated on str.isascii().
+# Maps each byte to its class marker (l/u/d/s); callers hand it ASCII bytes,
+# one per code point.
 _CLASS_TABLE = _build_class_table()
 
-# Collapses a class-marker string to letters vs. whitespace so that
-# bytes.split() yields exactly the maximal letter runs.
+# Collapses a class-marker string to letters (x) vs. non-letters (space).
 _RUN_TABLE = bytes(
     ord("x") if chr(i) in "lu" else ord(" ") for i in range(256)
 )
@@ -108,31 +109,19 @@ def classify_char(ch: str) -> CharClass:
     return CharClass.SYMBOL
 
 
-def _counts_slow(password: str) -> tuple[int, int, int, int, int]:
-    """Per-code-point fallback for non-ASCII text.
-
-    Returns (words, lowers, uppers, digits, symbols).
-    """
-    lowers = uppers = digits = symbols = words = 0
-    in_run = False
-    for ch in password:
-        o = ord(ch)
-        if 97 <= o <= 122:
-            lowers += 1
-            letter = True
-        elif 65 <= o <= 90:
-            uppers += 1
-            letter = True
-        elif 48 <= o <= 57:
-            digits += 1
-            letter = False
-        else:
-            symbols += 1
-            letter = False
-        if letter and not in_run:
-            words += 1
-        in_run = letter
-    return words, lowers, uppers, digits, symbols
+def _ascii_values(raw: bytes) -> tuple[int, int, int, int, int, int, int]:
+    """extract_all() of ASCII bytes, one byte per code point."""
+    length = len(raw)
+    marks = raw.translate(_CLASS_TABLE)
+    lowers = marks.count(108)  # l
+    uppers = marks.count(117)  # u
+    digits = marks.count(100)  # d
+    symbols = length - lowers - uppers - digits
+    # A letter run starts at the first byte or after a non-letter.
+    runs = marks.translate(_RUN_TABLE)
+    words = runs.count(b" x") + runs.startswith(b"x")
+    classes = (lowers > 0) + (uppers > 0) + (digits > 0) + (symbols > 0)
+    return (length, words, lowers, uppers, digits, symbols, classes)
 
 
 def extract_all(password: str) -> tuple[int, int, int, int, int, int, int]:
@@ -140,17 +129,8 @@ def extract_all(password: str) -> tuple[int, int, int, int, int, int, int]:
 
     Order: (length, words, lowers, uppers, digits, symbols, classes).
     """
-    if password.isascii():
-        marks = password.encode("ascii").translate(_CLASS_TABLE)
-        lowers = marks.count(108)  # l
-        uppers = marks.count(117)  # u
-        digits = marks.count(100)  # d
-        symbols = marks.count(115)  # s
-        words = len(marks.translate(_RUN_TABLE).split())
-    else:
-        words, lowers, uppers, digits, symbols = _counts_slow(password)
-    classes = (lowers > 0) + (uppers > 0) + (digits > 0) + (symbols > 0)
-    return (len(password), words, lowers, uppers, digits, symbols, classes)
+    # "?" is a symbol, as is every non-ASCII code point it stands in for.
+    return _ascii_values(password.encode("ascii", "replace"))
 
 
 def extract(attribute: AttributeId, password: str) -> int:

@@ -22,8 +22,8 @@ from .histogram import (
     build_histograms,
     format_multiplier,
     multiplier_table,
-    read_corpus_histograms,
     scan_file,
+    scan_stream,
     table_rows_json,
     table_to_csv,
 )
@@ -56,7 +56,7 @@ def _corpus_histograms(
     path: str, fmt: CorpusFormat, attributes: Sequence[AttributeId], threads: int
 ):
     if path == "-":
-        return read_corpus_histograms(sys.stdin.buffer, fmt, attributes)
+        return scan_stream(sys.stdin.buffer, fmt, attributes)
     return scan_file(path, fmt, attributes, threads=threads)
 
 
@@ -86,7 +86,8 @@ def _add_corpus_flags(p: argparse.ArgumentParser) -> None:
                    help="corpus line format (default plain)")
     p.add_argument("--skip-empty", action="store_true",
                    help="drop empty passwords instead of counting them")
-    p.add_argument("--threads", type=int, default=os.cpu_count() or 1,
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    p.add_argument("--threads", type=int, default=cpus or 1,
                    help="partitioned ingestion workers for file inputs")
 
 
@@ -346,10 +347,7 @@ def _cmd_synth_corrupt(args) -> int:
 def _cmd_eval(args) -> int:
     if args.count < 1:
         raise UsageError("--count must be >= 1")
-    try:
-        exprs = [(spec, parse_policy(spec)) for spec in args.policy]
-    except PolicyParseError:
-        raise
+    exprs = [(spec, parse_policy(spec)) for spec in args.policy]
     for noise in args.noise:
         if not 0.0 <= noise < 1.0:
             raise UsageError(f"noise {noise} outside [0, 1)")

@@ -7,15 +7,24 @@ post-processing of public dumps). Both are read in a single bounded-memory
 pass; files of tens of millions of lines must stream through without ever
 being held in memory.
 
-Dumps are dirty by nature. Lines are decoded as UTF-8 with a byte-per-byte
-Latin-1 fallback so that no input can abort a scan, a single trailing CR is
-dropped to tolerate CRLF files, and pathological lines are clamped at 64 KiB
-(counted in ReadStats.truncated) so a corrupt line cannot balloon memory.
+Every reader shares one loop: the file is read in 1 MiB chunks, and each
+chunk is split into a list of the lines it completes, so per-line Python
+work is left to the consumer of each list. read_records turns the lists into
+PasswordRecords; histogram.scan_stream counts attribute shapes from them
+directly, without making records.
+
+Dumps are dirty by nature. A single trailing CR is dropped to tolerate CRLF
+files, and pathological lines are clamped at 64 KiB (counted in
+ReadStats.truncated) so a corrupt line cannot balloon memory. Lines are
+decoded as UTF-8 with a byte-per-byte Latin-1 fallback so that no input can
+abort a scan.
 
 Large files can be split into contiguous byte partitions aligned on line
-terminators (partition_offsets) and scanned by independent workers; the
-per-partition results are combined downstream. Concatenating the records of
-adjacent partitions is exactly equivalent to one sequential scan.
+terminators (partition_offsets) and scanned by independent workers (seek to
+the start, read up to the limit); the per-partition results are combined
+downstream. Concatenating the lines of adjacent partitions is exactly one
+sequential scan, so records, histograms and ReadStats do not depend on the
+split.
 """
 
 from __future__ import annotations
@@ -115,14 +124,17 @@ def _decode(raw: bytes) -> str:
         return raw.decode("latin-1")
 
 
-def _iter_lines(
+def _line_batches(
     stream: BinaryIO, stats: ReadStats, limit: int | None = None
-) -> Iterator[bytes]:
-    """Yield terminator-free line bytes, clamping overlong lines.
+) -> Iterator[list[bytes]]:
+    """Yield the lines completed by each chunk read, one list per chunk.
 
-    Reads at most ``limit`` bytes when given (used for partition scans; the
-    caller guarantees the limit falls on a line terminator). A final line
-    without a trailing newline is still yielded.
+    Lines come without their terminator, clamped to MAX_LINE_BYTES and then
+    stripped of one trailing CR; ``stats.lines`` and ``stats.truncated``
+    count every line in a list before it is yielded. Reads at most
+    ``limit`` bytes when given (used for partition scans; the caller
+    guarantees the limit falls on a line terminator). A final line without
+    a trailing newline is still yielded.
     """
     carry = b""
     draining = False  # inside an overlong line, discarding until newline
@@ -138,56 +150,60 @@ def _iter_lines(
         if not chunk:
             break
         consumed += len(chunk)
-        pieces = chunk.split(b"\n")
-        if len(pieces) == 1:
-            # No newline in this chunk.
-            if draining:
-                continue
-            carry += pieces[0]
-            if len(carry) > MAX_LINE_BYTES:
-                stats.truncated += 1
-                stats.lines += 1
-                yield _strip_cr(carry[:MAX_LINE_BYTES])
-                carry = b""
-                draining = True
-            continue
-        # First piece completes the carried line.
-        first = pieces[0]
         if draining:
+            nl = chunk.find(b"\n")
+            if nl < 0:
+                continue
+            chunk = chunk[nl + 1:]
             draining = False
-        else:
-            line = carry + first if carry else first
-            if len(line) > MAX_LINE_BYTES:
-                stats.truncated += 1
-                line = line[:MAX_LINE_BYTES]
-            stats.lines += 1
-            yield _strip_cr(line)
-        carry = b""
-        for mid in pieces[1:-1]:
-            if len(mid) > MAX_LINE_BYTES:
-                stats.truncated += 1
-                mid = mid[:MAX_LINE_BYTES]
-            stats.lines += 1
-            yield _strip_cr(mid)
-        carry = pieces[-1]
+        chunk = carry + chunk
+        # Dropping the CR of every CRLF before splitting is exact unless a
+        # line reaches the clamp, which has to cut before the CR is dropped.
+        lines = chunk.replace(b"\r\n", b"\n").split(b"\n")
+        carry = lines.pop()
+        if lines and max(map(len, lines)) >= MAX_LINE_BYTES:
+            lines = chunk.split(b"\n")[:-1]
+            stats.truncated += sum(len(line) > MAX_LINE_BYTES for line in lines)
+            lines = [_strip_cr(line[:MAX_LINE_BYTES]) for line in lines]
         if len(carry) > MAX_LINE_BYTES:
             stats.truncated += 1
-            stats.lines += 1
-            yield _strip_cr(carry[:MAX_LINE_BYTES])
+            lines.append(_strip_cr(carry[:MAX_LINE_BYTES]))
             carry = b""
             draining = True
-    if draining:
-        return
+        if lines:
+            stats.lines += len(lines)
+            yield lines
     if carry:
-        if len(carry) > MAX_LINE_BYTES:
-            stats.truncated += 1
-            carry = carry[:MAX_LINE_BYTES]
         stats.lines += 1
-        yield _strip_cr(carry)
+        yield [_strip_cr(carry)]
 
 
 def _strip_cr(line: bytes) -> bytes:
     return line[:-1] if line.endswith(b"\r") else line
+
+
+def _parse_line(
+    raw: bytes, fmt: CorpusFormat, stats: ReadStats, line_number: int
+) -> tuple[str, int] | None:
+    """Decode one line from _line_batches into (password, multiplicity).
+
+    Counts it in stats as a record, or returns None for an empty password
+    that fmt.skip_empty drops. Withcount lines that do not match the
+    grammar raise CorpusFormatError carrying ``line_number``.
+    """
+    text, count = raw.decode("ascii") if raw.isascii() else _decode(raw), 1
+    if fmt.kind == "withcount" and (raw or not fmt.skip_empty):
+        if not raw:
+            raise CorpusFormatError("expected '<count> <password>', got empty line", line_number)
+        try:
+            count, text = parse_withcount_line(text)
+        except CorpusFormatError as exc:
+            raise CorpusFormatError(str(exc), line_number) from None
+    if fmt.skip_empty and not text:
+        stats.skipped_empty += 1
+        return None
+    stats.records += 1
+    return text, count
 
 
 def read_records(
@@ -204,37 +220,11 @@ def read_records(
     """
     if stats is None:
         stats = ReadStats()
-    withcount = fmt.kind == "withcount"
-    skip_empty = fmt.skip_empty
-    for raw in _iter_lines(stream, stats, limit):
-        if not raw:
-            if skip_empty:
-                stats.skipped_empty += 1
-                continue
-            if withcount:
-                raise CorpusFormatError(
-                    "expected '<count> <password>', got empty line", stats.lines
-                )
-            stats.records += 1
-            yield PasswordRecord("", 1)
-            continue
-        if raw.isascii():
-            text = raw.decode("ascii")
-        else:
-            text = _decode(raw)
-        if withcount:
-            try:
-                count, text = parse_withcount_line(text)
-            except CorpusFormatError as exc:
-                raise CorpusFormatError(str(exc), stats.lines) from None
-            if skip_empty and not text:
-                stats.skipped_empty += 1
-                continue
-            stats.records += 1
-            yield PasswordRecord(text, count)
-        else:
-            stats.records += 1
-            yield PasswordRecord(text, 1)
+    for lines in _line_batches(stream, stats, limit):
+        for line_number, raw in enumerate(lines, stats.lines - len(lines) + 1):
+            parsed = _parse_line(raw, fmt, stats, line_number)
+            if parsed is not None:
+                yield PasswordRecord._make(parsed)
 
 
 def partition_offsets(path: str, parts: int) -> list[tuple[int, int]]:
@@ -273,15 +263,3 @@ def partition_offsets(path: str, parts: int) -> list[tuple[int, int]]:
         bounds.append(size)
     return [(bounds[i], bounds[i + 1]) for i in range(len(bounds) - 1)]
 
-
-def read_file_partition(
-    path: str,
-    start: int,
-    end: int,
-    fmt: CorpusFormat,
-    stats: ReadStats | None = None,
-) -> Iterator[PasswordRecord]:
-    """Stream records from one line-aligned byte range of a file."""
-    with open(path, "rb") as f:
-        f.seek(start)
-        yield from read_records(f, fmt, stats, limit=end - start)

@@ -10,25 +10,34 @@ unconstrained region the series hugs 1.
 Histograms are plain value -> multiplicity maps and merge by pointwise
 addition, which is associative and commutative. That makes partitioned
 scans exact: building per-partition histograms and merging them yields
-bit-identical tables no matter how (or whether) the input was split.
+bit-identical tables, and the same ReadStats, no matter how (or whether)
+the input was split.
+
+build_histograms counts records; scan_stream counts a corpus stream from
+the corpus reader's per-chunk line lists, taking plain ASCII lines'
+attributes straight from their bytes. scan_file runs scan_stream over a
+file or, with threads > 1, over line-aligned partitions in worker processes.
 """
 
 from __future__ import annotations
 
 import os
+from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from decimal import ROUND_HALF_UP, Decimal
-from typing import Iterable, Mapping, Sequence
+from itertools import filterfalse
+from typing import BinaryIO, Iterable, Sequence
 
-from .attributes import ATTRIBUTES, AttributeId, extract_all
+from .attributes import ATTRIBUTES, AttributeId, _ascii_values, extract_all
 from .corpus import (
     CorpusFormat,
     PasswordRecord,
     ReadStats,
+    _decode,
+    _line_batches,
+    _parse_line,
     partition_offsets,
-    read_file_partition,
-    read_records,
 )
 
 _ATTR_INDEX = {attr: i for i, attr in enumerate(ATTRIBUTES)}
@@ -75,10 +84,11 @@ class MultiplierTable:
     total: int
 
 
-# Safety valve for the shape-tuple accumulator below: corpora normally have
+# Safety valve for the shape-tuple accumulators below: corpora normally have
 # a few thousand distinct attribute shapes, but nothing stops a pathological
 # input from having one per record, so spill to the per-attribute dicts
-# before the tuple dict can grow past a few tens of megabytes.
+# before the tuple dict can grow past a few tens of megabytes (scan_stream
+# checks once per chunk, so it may overshoot by one chunk's lines).
 _SHAPE_FLUSH = 300_000
 
 
@@ -100,13 +110,53 @@ def build_histograms(
         shapes[values] = shape_get(values, 0) + mult
         if len(shapes) >= _SHAPE_FLUSH:
             _flush_shapes(shapes, plan)
-            shapes = {}
-            shape_get = shapes.get
-    _flush_shapes(shapes, plan)
-    return {attr: Histogram(attr, counts, total) for attr, _, counts in plan}
+    return _histograms(shapes, plan, total)
+
+
+def scan_stream(
+    stream: BinaryIO,
+    fmt: CorpusFormat,
+    attributes: Sequence[AttributeId] = ATTRIBUTES,
+    stats: ReadStats | None = None,
+    limit: int | None = None,
+) -> dict[AttributeId, Histogram]:
+    """Histograms of a binary corpus stream, read in one pass.
+
+    Gives the same histograms and ReadStats as
+    build_histograms(read_records(stream, fmt, stats, limit), attributes),
+    and raises the same CorpusFormatError, without making a record per line.
+    """
+    if stats is None:
+        stats = ReadStats()
+    plan = [(attr, _ATTR_INDEX[attr], {}) for attr in attributes]
+    total = 0
+    shapes: Counter = Counter()
+    withcount = fmt.kind == "withcount"
+    for lines in _line_batches(stream, stats, limit):
+        if withcount:
+            for line_number, raw in enumerate(lines, stats.lines - len(lines) + 1):
+                parsed = _parse_line(raw, fmt, stats, line_number)
+                if parsed is not None:
+                    total += parsed[1]
+                    shapes[extract_all(parsed[0])] += parsed[1]
+        else:
+            if fmt.skip_empty and b"" in lines:
+                kept = list(filter(None, lines))
+                stats.skipped_empty += len(lines) - len(kept)
+                lines = kept
+            stats.records += len(lines)
+            total += len(lines)
+            # Counter.update counts in C; ASCII bytes need no decoding.
+            shapes.update(map(_ascii_values, filter(bytes.isascii, lines)))
+            for raw in filterfalse(bytes.isascii, lines):
+                shapes[extract_all(_decode(raw))] += 1
+        if len(shapes) >= _SHAPE_FLUSH:
+            _flush_shapes(shapes, plan)
+    return _histograms(shapes, plan, total)
 
 
 def _flush_shapes(shapes: dict, plan: list) -> None:
+    """Spill shape counts into the per-attribute counts and empty shapes."""
     for values, mult in shapes.items():
         for _, idx, counts in plan:
             v = values[idx]
@@ -114,6 +164,12 @@ def _flush_shapes(shapes: dict, plan: list) -> None:
                 counts[v] += mult
             else:
                 counts[v] = mult
+    shapes.clear()
+
+
+def _histograms(shapes: dict, plan: list, total: int) -> dict[AttributeId, Histogram]:
+    _flush_shapes(shapes, plan)
+    return {attr: Histogram(attr, counts, total) for attr, _, counts in plan}
 
 
 def merge(a: Histogram, b: Histogram) -> Histogram:
@@ -204,7 +260,9 @@ def _scan_partition(
     fmt = CorpusFormat(kind=kind, skip_empty=skip_empty)
     attrs = [AttributeId(t) for t in tokens]
     stats = ReadStats()
-    hists = build_histograms(read_file_partition(path, start, end, fmt, stats), attrs)
+    with open(path, "rb") as f:
+        f.seek(start)
+        hists = scan_stream(f, fmt, attrs, stats, limit=end - start)
     total = hists[attrs[0]].total if attrs else 0
     packed = {attr.value: hists[attr].counts for attr in attrs}
     return packed, total, (stats.lines, stats.records, stats.skipped_empty, stats.truncated)
@@ -228,12 +286,8 @@ def scan_file(
         raise ValueError("threads must be >= 1")
     size = os.path.getsize(path)
     if threads == 1 or size < (1 << 22):
-        local = ReadStats()
         with open(path, "rb") as f:
-            hists = build_histograms(read_records(f, fmt, local), attributes)
-        if stats is not None:
-            stats.add(local)
-        return hists
+            return scan_stream(f, fmt, attributes, stats)
     parts = partition_offsets(path, threads)
     merged: dict[AttributeId, Histogram] = {
         attr: Histogram(attr, {}, 0) for attr in attributes
@@ -253,13 +307,3 @@ def scan_file(
                 stats.add(ReadStats(*st))
     return merged
 
-
-def read_corpus_histograms(
-    stream,
-    fmt: CorpusFormat,
-    attributes: Sequence[AttributeId] = ATTRIBUTES,
-    stats: ReadStats | None = None,
-) -> dict[AttributeId, Histogram]:
-    """Sequential histogram build from an already-open binary stream."""
-    local = stats if stats is not None else ReadStats()
-    return build_histograms(read_records(stream, fmt, local), attributes)

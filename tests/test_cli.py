@@ -1,10 +1,11 @@
 import io
 import json
+import os
 import re
 
 import pytest
 
-from pwpolicy.cli import main
+from pwpolicy.cli import build_parser, main
 import refdata
 
 
@@ -475,3 +476,14 @@ def test_threads_do_not_change_results(tmp_path, capsys):
     assert out1 == out8
     doc = json.loads(out1)
     assert doc["name"] == "2word12"
+
+
+def test_threads_default_follows_cpu_affinity(monkeypatch):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    parser = build_parser()
+    commands = (["infer", "c.txt"], ["hist", "c.txt", "length"], ["plot", "c.txt", "length", "o.csv"])
+    for argv in commands:
+        assert parser.parse_args(argv).threads == 1
+    monkeypatch.delattr(os, "sched_getaffinity")
+    monkeypatch.setattr(os, "cpu_count", lambda: 3)
+    assert build_parser().parse_args(["infer", "c.txt"]).threads == 3

@@ -4,17 +4,25 @@ from fractions import Fraction
 
 import pytest
 
+from pwpolicy import corpus
 from pwpolicy.attributes import ATTRIBUTES, AttributeId
-from pwpolicy.corpus import CorpusFormat, PasswordRecord, ReadStats
+from pwpolicy.corpus import (
+    CorpusFormat,
+    CorpusFormatError,
+    PasswordRecord,
+    ReadStats,
+    partition_offsets,
+    read_records,
+)
 from pwpolicy.histogram import (
     Histogram,
     build_histograms,
     format_multiplier,
     merge,
     multiplier_table,
-    read_corpus_histograms,
     rounded_multiplier,
     scan_file,
+    scan_stream,
     table_rows_json,
     table_to_csv,
 )
@@ -74,6 +82,27 @@ def test_build_histograms_many_distinct_shapes():
         assert spilled[attr].total == expected[attr].total
 
 
+@pytest.mark.parametrize("kind", ["plain", "withcount"])
+def test_scan_many_distinct_shapes(tmp_path, monkeypatch, kind):
+    # The file scan spills through the same code as build_histograms.
+    import pwpolicy.histogram as h
+
+    texts = ["a" * (i % 7 + 1) + "1" * (i % 5) + "\u00e9" * (i % 3) for i in range(500)]
+    prefix = "3 " if kind == "withcount" else ""
+    path = tmp_path / "c.txt"
+    path.write_text("".join(f"{prefix}{t}\n" for t in texts), encoding="utf-8")
+    fmt = CorpusFormat(kind)
+    expected = build_histograms(PasswordRecord(t, 3 if prefix else 1) for t in texts)
+    monkeypatch.setattr(h, "_SHAPE_FLUSH", 3)
+    monkeypatch.setattr(corpus, "_CHUNK_BYTES", 256)
+    stats = ReadStats()
+    spilled = scan_file(str(path), fmt, stats=stats)
+    for attr in ATTRIBUTES:
+        assert spilled[attr].counts == expected[attr].counts
+        assert spilled[attr].total == expected[attr].total
+    assert (stats.lines, stats.records) == (500, 500)
+
+
 def test_length_table_matches_hand_oracle():
     hist = hist_of(AttributeId.LENGTH, refdata.LENGTH_FREQS)
     table = multiplier_table(hist)
@@ -91,7 +120,7 @@ def test_length_table_matches_hand_oracle():
 
 def test_length_table_from_withcount_stream():
     data = "\n".join(refdata.withcount_lines("length", refdata.LENGTH_FREQS)) + "\n"
-    hists = read_corpus_histograms(
+    hists = scan_stream(
         io.BytesIO(data.encode()), CorpusFormat("withcount"), [AttributeId.LENGTH]
     )
     assert hists[AttributeId.LENGTH].counts == refdata.LENGTH_FREQS
@@ -251,3 +280,128 @@ def test_scan_file_parallel_large_enough_to_partition(tmp_path):
     par = scan_file(str(path), fmt, [AttributeId.LENGTH, AttributeId.DIGITS], threads=4)
     assert seq[AttributeId.LENGTH].counts == par[AttributeId.LENGTH].counts
     assert seq[AttributeId.DIGITS].counts == par[AttributeId.DIGITS].counts
+
+
+# --- scan_stream against build_histograms(read_records(...)) ---------------
+
+def _reference_lines(data: bytes, max_line: int) -> tuple[list[bytes], int]:
+    """The corpus line rules written the obvious way, for whole-buffer input."""
+    pieces = data.split(b"\n")
+    if pieces[-1] == b"":
+        pieces.pop()
+    truncated = sum(len(p) > max_line for p in pieces)
+    lines = [p[:max_line] for p in pieces]
+    return [p[:-1] if p.endswith(b"\r") else p for p in lines], truncated
+
+
+def _dirty_corpus(seed: int, max_line: int, withcount: bool, final_newline: bool) -> bytes:
+    rng = random.Random(seed)
+    bodies = [
+        lambda: b"",
+        lambda: b"pw%d" % rng.randrange(1000),
+        lambda: b"Hunter%d!" % rng.randrange(100),
+        lambda: b"two words",
+        lambda: "café".encode("utf-8") + b"%d" % rng.randrange(10),
+        lambda: b"caf\xe9%d" % rng.randrange(10),  # invalid UTF-8: Latin-1
+        lambda: "пароль".encode("utf-8"),
+        lambda: b"x" * rng.randrange(max_line - 3, max_line + 3),
+        lambda: b"ab1" * rng.randrange(max_line, 3 * max_line),
+        lambda: b"z" * rng.randrange(1, 9000),
+    ]
+    ends = [b"\n"] * 6 + [b"\r\n", b"\r\r\n"]
+    out = []
+    for _ in range(400):
+        body = rng.choice(bodies)()
+        end = rng.choice(ends)
+        if withcount and (body or rng.random() < 0.5):
+            body = b"%d %s" % (rng.randrange(1, 50), body)
+        elif withcount:
+            end = end[-1:]  # an empty line, not a lone CR
+        out.append(body + end)
+    if not final_newline:
+        out.append(b"1 last\r" if rng.random() < 0.5 else b"1 last")
+    return b"".join(out)
+
+
+def _plain_hists(hists):
+    return {a: (h.counts, h.total) for a, h in hists.items()}
+
+
+def _stats_tuple(stats: ReadStats):
+    return (stats.lines, stats.records, stats.skipped_empty, stats.truncated)
+
+
+@pytest.mark.parametrize(
+    "chunk, max_line",
+    [(4096, corpus.MAX_LINE_BYTES), (4096, 300), (97, 40), (1 << 20, corpus.MAX_LINE_BYTES)],
+)
+@pytest.mark.parametrize("kind", ["plain", "withcount"])
+@pytest.mark.parametrize("skip_empty", [False, True])
+@pytest.mark.parametrize("final_newline", [False, True])
+def test_scan_stream_equals_records_path(monkeypatch, chunk, max_line, kind, skip_empty,
+                                         final_newline):
+    # Small chunks put overlong lines, CRLF pairs and multi-byte characters
+    # across chunk boundaries; a small line cap also puts whole overlong
+    # lines inside one chunk.
+    monkeypatch.setattr(corpus, "_CHUNK_BYTES", chunk)
+    monkeypatch.setattr(corpus, "MAX_LINE_BYTES", max_line)
+    withcount = kind == "withcount"
+    fmt = CorpusFormat(kind, skip_empty=skip_empty)
+    for seed in range(3):
+        data = _dirty_corpus(seed, max_line, withcount, final_newline)
+        lines, truncated = _reference_lines(data, max_line)
+        ref_stats = ReadStats()
+        try:
+            records = list(read_records(io.BytesIO(data), fmt, ref_stats))
+        except CorpusFormatError as ref_exc:
+            # Withcount without skip_empty: the first empty line is an error.
+            assert withcount and not skip_empty
+            with pytest.raises(CorpusFormatError) as exc:
+                scan_stream(io.BytesIO(data), fmt)
+            assert exc.value.line_number == ref_exc.line_number == lines.index(b"") + 1
+            continue
+        assert (ref_stats.lines, ref_stats.truncated) == (len(lines), truncated)
+        if not withcount:
+            kept = [line for line in lines if line or not skip_empty]
+            assert [r.text.encode("utf-8") for r in records if r.text.isascii()] == [
+                line for line in kept if line.isascii()
+            ]
+        got_stats = ReadStats()
+        got = scan_stream(io.BytesIO(data), fmt, ATTRIBUTES, got_stats)
+        assert _plain_hists(got) == _plain_hists(build_histograms(records))
+        assert _stats_tuple(got_stats) == _stats_tuple(ref_stats)
+
+
+@pytest.mark.parametrize("kind", ["plain", "withcount"])
+def test_scan_stream_limit_partitions(tmp_path, monkeypatch, kind):
+    monkeypatch.setattr(corpus, "_CHUNK_BYTES", 4096)
+    fmt = CorpusFormat(kind, skip_empty=True)
+    path = tmp_path / "c.txt"
+    path.write_bytes(_dirty_corpus(7, corpus.MAX_LINE_BYTES, kind == "withcount", False))
+    ref_stats = ReadStats()
+    with path.open("rb") as f:
+        expected = build_histograms(read_records(f, fmt, ref_stats))
+    for parts in (2, 5, 16):
+        stats = ReadStats()
+        merged = None
+        for start, end in partition_offsets(str(path), parts):
+            with path.open("rb") as f:
+                f.seek(start)
+                part = scan_stream(f, fmt, ATTRIBUTES, stats, limit=end - start)
+            merged = part if merged is None else {a: merge(merged[a], part[a]) for a in part}
+        assert _plain_hists(merged) == _plain_hists(expected)
+        assert _stats_tuple(stats) == _stats_tuple(ref_stats)
+
+
+@pytest.mark.parametrize(
+    "data, line_number",
+    [(b"1 a\n2 b\noops\n", 3), (b"1 a\r\n\n", 2), (b"1 a\n" * 3000 + b"0 zero\n", 3001)],
+)
+def test_scan_stream_withcount_error_line_number(monkeypatch, data, line_number):
+    monkeypatch.setattr(corpus, "_CHUNK_BYTES", 4096)
+    fmt = CorpusFormat("withcount")
+    with pytest.raises(CorpusFormatError) as ref_exc:
+        list(read_records(io.BytesIO(data), fmt))
+    with pytest.raises(CorpusFormatError) as exc:
+        scan_stream(io.BytesIO(data), fmt)
+    assert exc.value.line_number == ref_exc.value.line_number == line_number
