@@ -9,10 +9,11 @@ peak memory is bounded by histogram value ranges, not corpus size.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import sys
-from typing import Iterator, Sequence, TextIO
+from typing import BinaryIO, Sequence, TextIO
 
 from . import __version__
 from .attributes import ATTRIBUTES, AttributeId
@@ -29,13 +30,14 @@ from .histogram import (
 )
 from .inference import InferenceConfig, infer_policy, policy_to_json
 from .policy import (
+    PolicyExpr,
     PolicyParseError,
-    filter_corpus,
+    filter_stream,
     parse_policy,
     policy_minima,
     render_policy,
 )
-from .synth import CorruptionSpec, GeneratorSpec, corrupt, generate, pad
+from .synth import CorruptionSpec, GeneratorSpec, corrupt, generate
 
 
 class UsageError(Exception):
@@ -60,12 +62,20 @@ def _corpus_histograms(
     return scan_file(path, fmt, attributes, threads=threads)
 
 
-def _iter_records(path: str, fmt: CorpusFormat) -> Iterator[PasswordRecord]:
+def _open_corpus(path: str) -> contextlib.AbstractContextManager[BinaryIO]:
     if path == "-":
-        yield from read_records(sys.stdin.buffer, fmt)
-        return
-    with open(path, "rb") as f:
-        yield from read_records(f, fmt)
+        return contextlib.nullcontext(sys.stdin.buffer)
+    return open(path, "rb")
+
+
+def _open_binary_out(path: str | None, stack: contextlib.ExitStack) -> BinaryIO:
+    """A binary output file, or standard output's buffer for None or "-"."""
+    if path is None or path == "-":
+        # Text already written to sys.stdout must come out first.
+        sys.stdout.flush()
+        stack.callback(sys.stdout.buffer.flush)
+        return sys.stdout.buffer
+    return stack.enter_context(open(path, "wb"))
 
 
 def _record_writer(fmt: CorpusFormat, out: TextIO):
@@ -180,32 +190,14 @@ def _cmd_infer(args) -> int:
 
 def _cmd_filter(args) -> int:
     expr = parse_policy(args.policy)
-    fmt = _corpus_format(args)
-    records = _iter_records(args.file, fmt)
-    out_stream = sys.stdout
-    close_out = False
-    if args.out is not None and args.out != "-":
-        out_stream = open(args.out, "w", encoding="utf-8")
-        close_out = True
-    reject_stream = None
-    try:
-        on_compliant = _record_writer(fmt, out_stream)
-        on_rejected = None
-        if args.reject is not None:
-            reject_stream = open(args.reject, "w", encoding="utf-8")
-            on_rejected = _record_writer(fmt, reject_stream)
-        summary = filter_corpus(records, expr, on_compliant, on_rejected)
-    finally:
-        if close_out:
-            out_stream.close()
-        if reject_stream is not None:
-            reject_stream.close()
-    doc = json.dumps(summary.to_json())
+    with contextlib.ExitStack() as stack:
+        stream = stack.enter_context(_open_corpus(args.file))
+        out = _open_binary_out(args.out, stack)
+        reject = None if args.reject is None else stack.enter_context(open(args.reject, "wb"))
+        summary = filter_stream(stream, _corpus_format(args), expr, out, reject)
     # The summary must not interleave with records on standard output.
-    if close_out:
-        print(doc)
-    else:
-        print(doc, file=sys.stderr)
+    to_stdout = args.out is None or args.out == "-"
+    print(json.dumps(summary.to_json()), file=sys.stderr if to_stdout else sys.stdout)
     return 0
 
 
@@ -305,17 +297,13 @@ def _cmd_synth_generate(args) -> int:
 
 
 def _cmd_synth_pad(args) -> int:
+    # Padding is filtering by the empty policy: every line is kept as read.
     fmt = _corpus_format(args)
-    base = _iter_records(args.base, fmt)
-    pads = [_iter_records(p, fmt) for p in args.pads]
-    out, close_out = _out_stream(args.out)
-    try:
-        sink = _record_writer(fmt, out)
-        for rec in pad(base, pads):
-            sink(rec)
-    finally:
-        if close_out:
-            out.close()
+    with contextlib.ExitStack() as stack:
+        out = _open_binary_out(args.out, stack)
+        for path in (args.base, *args.pads):
+            with _open_corpus(path) as stream:
+                filter_stream(stream, fmt, PolicyExpr(), out, None)
     return 0
 
 
@@ -329,15 +317,16 @@ def _cmd_synth_corrupt(args) -> int:
         )
     except ValueError as exc:
         raise UsageError(str(exc))
-    stream = corrupt(_iter_records(args.file, fmt), spec, args.seed)
-    out, close_out = _out_stream(args.out)
-    try:
-        sink = _record_writer(fmt, out)
-        for rec in stream:
-            sink(rec)
-    finally:
-        if close_out:
-            out.close()
+    with _open_corpus(args.file) as f:
+        stream = corrupt(read_records(f, fmt), spec, args.seed)
+        out, close_out = _out_stream(args.out)
+        try:
+            sink = _record_writer(fmt, out)
+            for rec in stream:
+                sink(rec)
+        finally:
+            if close_out:
+                out.close()
     print(json.dumps({"added_count": stream.added_count}), file=sys.stderr)
     return 0
 

@@ -7,11 +7,13 @@ post-processing of public dumps). Both are read in a single bounded-memory
 pass; files of tens of millions of lines must stream through without ever
 being held in memory.
 
-Every reader shares one loop: the file is read in 1 MiB chunks, and each
-chunk is split into a list of the lines it completes, so per-line Python
-work is left to the consumer of each list. read_records turns the lists into
-PasswordRecords; histogram.scan_stream counts attribute shapes from them
-directly, without making records.
+Every reader shares one loop, _line_batches: the file is read in 1 MiB
+chunks, and each chunk is split into a list of the lines it completes, so
+per-line Python work is left to the consumer of each list. It has three
+consumers. read_records turns the lists into PasswordRecords (synth corrupt
+and the library API); histogram.scan_stream counts attribute shapes from
+them (hist, infer, plot); policy.filter_stream classifies each line and
+writes back its bytes (filter, synth pad). The last two make no records.
 
 Dumps are dirty by nature. A single trailing CR is dropped to tolerate CRLF
 files, and pathological lines are clamped at 64 KiB (counted in

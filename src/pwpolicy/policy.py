@@ -4,15 +4,20 @@ A policy is a conjunction of attribute minima. On the command line it is
 written either as a conventional name (basic8, 2word12, 3class12) or as a
 comma-separated list of ``<attribute>>=<int>`` terms, for example
 ``length>=6,digits>=1``.
+
+filter_corpus routes PasswordRecords; filter_stream splits a corpus stream
+and writes back the bytes of each line it read.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Callable, Iterable, Mapping
+from itertools import repeat
+from typing import BinaryIO, Callable, Iterable, Iterator, Mapping
 
-from .attributes import ATTRIBUTES, AttributeId, extract_all
+from .attributes import ATTRIBUTES, AttributeId, _ascii_values, extract_all
+from .corpus import CorpusFormat, ReadStats, _decode, _line_batches, _parse_line
 
 _ATTR_INDEX = {attr: i for i, attr in enumerate(ATTRIBUTES)}
 _BASIC_RE = re.compile(r"^basic(\d+)$")
@@ -112,13 +117,15 @@ def render_policy(expr: PolicyExpr) -> str:
     return ",".join(f"{attr.value}>={minimum}" for attr, minimum in expr.constraints)
 
 
+def _minimum_checks(expr: PolicyExpr) -> list[tuple[int, int]]:
+    """(index into extract_all's tuple, minimum) for each constraint."""
+    return [(_ATTR_INDEX[attr], minimum) for attr, minimum in expr.constraints]
+
+
 def complies(password: str, expr: PolicyExpr) -> bool:
     """True when the password meets every minimum in the policy."""
     values = extract_all(password)
-    for attr, minimum in expr.constraints:
-        if values[_ATTR_INDEX[attr]] < minimum:
-            return False
-    return True
+    return all(values[idx] >= minimum for idx, minimum in _minimum_checks(expr))
 
 
 @dataclass
@@ -158,23 +165,101 @@ def filter_corpus(
     tallies the split. Streaming, nothing buffered.
     """
     summary = FilterSummary()
-    checks = [(_ATTR_INDEX[attr], minimum) for attr, minimum in expr.constraints]
+    checks = _minimum_checks(expr)
     for record in records:
         values = extract_all(record.text)
-        ok = True
         for idx, minimum in checks:
             if values[idx] < minimum:
-                ok = False
+                summary.rejected += record.multiplicity
+                if on_rejected is not None:
+                    on_rejected(record)
                 break
-        if ok:
+        else:
             summary.compliant += record.multiplicity
             if on_compliant is not None:
                 on_compliant(record)
-        else:
-            summary.rejected += record.multiplicity
-            if on_rejected is not None:
-                on_rejected(record)
     return summary
+
+
+def filter_stream(
+    stream: BinaryIO,
+    fmt: CorpusFormat,
+    expr: PolicyExpr,
+    out: BinaryIO | None,
+    reject: BinaryIO | None,
+    stats: ReadStats | None = None,
+) -> FilterSummary:
+    """Split a binary corpus stream by compliance, writing back its lines.
+
+    Every record's line goes to ``out`` (compliant) or ``reject`` with a
+    newline, as the bytes _line_batches yields: clamped, one trailing CR
+    dropped, a withcount line's count and spacing kept. A None sink
+    discards. The summary, ReadStats and any CorpusFormatError are those of
+    filter_corpus(read_records(stream, fmt, stats), expr), but no record is
+    made: ASCII lines are classified straight from their bytes.
+    """
+    if stats is None:
+        stats = ReadStats()
+    summary = FilterSummary()
+    checks = _minimum_checks(expr)
+    withcount = fmt.kind == "withcount"
+    for lines in _line_batches(stream, stats):
+        if withcount:
+            records = _withcount_records(lines, fmt, stats)
+        else:
+            if fmt.skip_empty and b"" in lines:
+                nonempty = list(filter(None, lines))
+                stats.skipped_empty += len(lines) - len(nonempty)
+                lines = nonempty
+            stats.records += len(lines)
+            records = zip(lines, repeat(1), map(_plain_values, lines))
+        kept, dropped = [], []
+        for raw, count, values in records:
+            for idx, minimum in checks:
+                if values[idx] < minimum:
+                    summary.rejected += count
+                    dropped.append(raw)
+                    break
+            else:
+                summary.compliant += count
+                kept.append(raw)
+        # writelines over a map holds no joined copy of the chunk.
+        if out is not None:
+            out.writelines(map(bytes.__add__, kept, repeat(b"\n")))
+        if reject is not None:
+            reject.writelines(map(bytes.__add__, dropped, repeat(b"\n")))
+    return summary
+
+
+def _plain_values(raw: bytes) -> tuple[int, int, int, int, int, int, int]:
+    """extract_all() of one plain line, decoding only a non-ASCII one."""
+    return _ascii_values(raw) if raw.isascii() else extract_all(_decode(raw))
+
+
+def _withcount_records(
+    lines: list[bytes], fmt: CorpusFormat, stats: ReadStats
+) -> Iterator[tuple[bytes, int, tuple]]:
+    """(line, count, attribute values) for each record line of one chunk.
+
+    An ASCII line is parsed on its bytes, which on ASCII is exactly
+    parse_withcount_line; every other line (non-ASCII, a bad count, an
+    empty password that fmt.skip_empty drops) goes through _parse_line,
+    which counts it and raises the same CorpusFormatError.
+    """
+    fast = 0
+    skip_empty = fmt.skip_empty
+    for line_number, raw in enumerate(lines, stats.lines - len(lines) + 1):
+        head, sep, password = raw.lstrip(b" ").partition(b" ")
+        if sep and head.isdigit() and raw.isascii() and (password or not skip_empty):
+            count = int(head)
+            if count >= 1:
+                fast += 1
+                yield raw, count, _ascii_values(password)
+                continue
+        parsed = _parse_line(raw, fmt, stats, line_number)
+        if parsed is not None:
+            yield raw, parsed[1], extract_all(parsed[0])
+    stats.records += fast
 
 
 def policy_minima(minima: Mapping[AttributeId, int]) -> PolicyExpr:

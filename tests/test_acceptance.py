@@ -130,6 +130,7 @@ GRID_POLICIES = (
 GRID_NOISES = (0.0, 0.005, 0.02, 0.03)
 
 
+@pytest.mark.slow
 def test_criterion_4_recovery_grid():
     with criterion(4, "24-cell 1M recovery grid"):
         # The grid runs entirely in this process, so its budget is this
@@ -160,6 +161,7 @@ def test_criterion_4_recovery_grid():
         assert cpu < 300.0, f"grid took {cpu:.1f}s CPU ({elapsed:.1f}s wall)"
 
 
+@pytest.mark.slow
 def test_criterion_5_pad_and_corrupt_scenarios():
     with criterion(5, "padded and corrupted corpora"):
         base_expr = parse_policy("2word12")
@@ -314,6 +316,7 @@ def test_criterion_6_property_suites():
             assert list(generate(spec)) == list(generate(spec))
 
 
+@pytest.mark.slow
 def test_criterion_7_ten_million_line_scan(tmp_path):
     with criterion(7, "10M-line infer under 60s/256MiB"):
         corpus = tmp_path / "organic10m.txt"

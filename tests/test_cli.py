@@ -2,10 +2,14 @@ import io
 import json
 import os
 import re
+from collections import Counter
 
 import pytest
 
+from pwpolicy import corpus
 from pwpolicy.cli import build_parser, main
+from pwpolicy.corpus import CorpusFormat, read_records
+from pwpolicy.policy import filter_corpus, parse_policy
 import refdata
 
 
@@ -289,6 +293,89 @@ def test_filter_round_trip_summary_stable(write_corpus, tmp_path, capsys):
     assert json.loads(first) == json.loads(second)
 
 
+def _dirty_corpus(kind: str, skip_empty: bool, final_newline: bool) -> bytes:
+    """Latin-1, UTF-8 and CRLF lines, padded counts, lines around the clamp."""
+    clamp = corpus.MAX_LINE_BYTES
+    bodies = [
+        b"caf\xe9123", b"caf\xe9", "café123".encode("utf-8"), "ñññ1".encode("utf-8"), b"plain1234",
+        b"short1", b"two words 99", b"", b"x1" * 8,
+    ]
+    # Whole lines of the clamp's length minus 8, minus 1, exactly, plus 1, plus 200.
+    sizes = [None] * len(bodies) + [clamp + d for d in (-8, -1, 0, 1, 200)]
+    lines = []
+    for i, size in enumerate(sizes * 3):
+        prefix = (b"%7d " if i % 2 else b"%d ") % (i + 1) if kind == "withcount" else b""
+        body = bodies[i % len(sizes)] if size is None else b"y" * (size - len(prefix))
+        lines.append(prefix + body + (b"\r\n" if i % 3 == 0 else b"\n"))
+    if skip_empty or kind == "plain":
+        lines[5:5] = [b"\n", b"\r\n"]
+    lines.append(b"      2 last9\r\n" if kind == "withcount" else b"last9\r\n")
+    data = b"".join(lines)
+    return data if final_newline else data[:-1]
+
+
+def _split_lines(data: bytes) -> list[bytes]:
+    """A file's lines as filter sees them: one CR dropped, clamped first."""
+    pieces = data.split(b"\n")
+    if pieces[-1] == b"":
+        pieces.pop()
+    pieces = [p[: corpus.MAX_LINE_BYTES] for p in pieces]
+    return [p[:-1] if p.endswith(b"\r") else p for p in pieces]
+
+
+@pytest.mark.parametrize("chunk", [4093, 1 << 20])
+@pytest.mark.parametrize("kind", ["plain", "withcount"])
+@pytest.mark.parametrize("skip_empty", [False, True])
+@pytest.mark.parametrize("final_newline", [False, True])
+def test_filter_writes_back_the_bytes_it_read(
+    monkeypatch, tmp_path, capsys, chunk, kind, skip_empty, final_newline
+):
+    monkeypatch.setattr(corpus, "_CHUNK_BYTES", chunk)
+    data = _dirty_corpus(kind, skip_empty, final_newline)
+    path = tmp_path / "dirty.txt"
+    path.write_bytes(data)
+    out_path, rej_path = tmp_path / "ok.txt", tmp_path / "bad.txt"
+    flags = ["--input-format", kind] + (["--skip-empty"] if skip_empty else [])
+    code, out, _ = run(
+        capsys, "filter", str(path), "length>=6,digits>=1",
+        "--out", str(out_path), "--reject", str(rej_path), *flags,
+    )
+    assert code == 0
+    fmt = CorpusFormat(kind, skip_empty)
+    with path.open("rb") as f:
+        want = filter_corpus(read_records(f, fmt), parse_policy("length>=6,digits>=1"))
+    assert json.loads(out) == want.to_json()
+    written = out_path.read_bytes() + rej_path.read_bytes()
+    assert written.endswith(b"\n")
+    lines = _split_lines(data)
+    if skip_empty:  # empty passwords go to neither file
+        password = (lambda line: line.lstrip(b" ").partition(b" ")[2]) if kind == "withcount" else bytes
+        lines = [line for line in lines if password(line)]
+    assert Counter(written.split(b"\n")[:-1]) == Counter(lines)
+    assert b"caf\xe9123" in out_path.read_bytes()
+    assert b"\r" not in written
+
+
+def test_filter_bad_withcount_line_after_first_chunk(monkeypatch, write_corpus, tmp_path, capsys):
+    monkeypatch.setattr(corpus, "_CHUNK_BYTES", 64)
+    path = write_corpus([f"{i + 1:7d} pw{i}" for i in range(30)] + ["0 zero", "1 after"])
+    code, _, err = run(
+        capsys, "filter", path, "basic3", "--input-format", "withcount",
+        "--out", str(tmp_path / "ok.txt"),
+    )
+    assert code == 3
+    assert "line 31" in err and "multiplicity" in err
+
+
+def test_filter_stdin_to_stdout(monkeypatch, capsysbinary):
+    feed_stdin(monkeypatch, b"caf\xe91234\r\nshort\n\xd1\x84\xd1\x84x12345\nlongenough99")
+    code = main(["filter", "-", "length>=6,digits>=1"])
+    captured = capsysbinary.readouterr()
+    assert code == 0
+    assert captured.out == b"caf\xe91234\n\xd1\x84\xd1\x84x12345\nlongenough99\n"
+    assert json.loads(captured.err) == {"compliant": 3, "rejected": 1, "rejected_pct": 25.0}
+
+
 # --- plot ----------------------------------------------------------------
 
 
@@ -369,6 +456,23 @@ def test_synth_pad_concatenates(write_corpus, capsys):
     code, out, _ = run(capsys, "synth", "pad", base, pad1, pad2)
     assert code == 0
     assert out.splitlines() == ["aaa", "bbb", "ccc", "ddd"]
+
+
+@pytest.mark.parametrize("kind", ["plain", "withcount"])
+def test_synth_pad_writes_back_the_bytes_it_read(tmp_path, capsysbinary, kind):
+    prefix = b"      3 " if kind == "withcount" else b""
+    base = tmp_path / "base.txt"
+    base.write_bytes(prefix + b"caf\xe9\r\n" + prefix + b"abc\r\n")
+    extra = tmp_path / "extra.txt"
+    extra.write_bytes(prefix + "ñu".encode("utf-8") + b"\n" + prefix + b"x\xff")
+    out = tmp_path / "padded.txt"
+    code = main(["synth", "pad", str(base), str(extra), "--input-format", kind, "--out", str(out)])
+    assert code == 0
+    want = [b"caf\xe9", b"abc", "ñu".encode("utf-8"), b"x\xff"]
+    assert out.read_bytes() == b"".join(prefix + line + b"\n" for line in want)
+    code = main(["synth", "pad", str(base), str(extra), "--input-format", kind])
+    assert code == 0
+    assert capsysbinary.readouterr().out == out.read_bytes()
 
 
 def test_synth_corrupt_reports_added_count(write_corpus, capsys):

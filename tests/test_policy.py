@@ -1,13 +1,18 @@
+import io
+import random
+
 import pytest
 
+from pwpolicy import corpus
 from pwpolicy.attributes import AttributeId
-from pwpolicy.corpus import PasswordRecord
+from pwpolicy.corpus import CorpusFormat, CorpusFormatError, PasswordRecord, ReadStats, read_records
 from pwpolicy.policy import (
     FilterSummary,
     PolicyExpr,
     PolicyParseError,
     complies,
     filter_corpus,
+    filter_stream,
     parse_policy,
     policy_minima,
     render_policy,
@@ -128,3 +133,92 @@ def test_filter_summary_json_rounding():
 def test_policy_minima_round_trip():
     expr = parse_policy("length>=8,classes>=2")
     assert policy_minima(expr.minima()) == expr
+
+
+# --- filter_stream against filter_corpus(read_records(...)) ----------------
+
+
+def _dirty_lines(seed: int, withcount: bool, skip_empty: bool, max_line: int) -> list[bytes]:
+    """Input lines, each with its own terminator: Latin-1, UTF-8, CRLF,
+    padded counts, lines around the clamp, and empty lines or passwords."""
+    rng = random.Random(seed)
+    bodies = [
+        lambda: b"pw%d" % rng.randrange(1000),
+        lambda: b"Hunter%d!" % rng.randrange(100),
+        lambda: b"two words 42",
+        lambda: "café".encode("utf-8") + b"%d" % rng.randrange(10**6),
+        lambda: b"caf\xe9%d" % rng.randrange(10**6),  # invalid UTF-8: Latin-1
+        lambda: "пароль123".encode("utf-8"),
+        lambda: "ñññ%d".encode("utf-8") % rng.randrange(10),  # 4 code points, 7 bytes
+        lambda: b"x1" * rng.randrange(max_line // 2 - 6, max_line // 2 + 2),
+        lambda: b"ab1" * rng.randrange(max_line // 3, max_line),
+        lambda: b"",
+    ]
+    lines = []
+    for _ in range(300):
+        body = rng.choice(bodies)()
+        end = rng.choice((b"\n", b"\n", b"\r\n"))
+        if withcount:
+            if not body and skip_empty and rng.random() < 0.5:
+                lines.append(end)  # an empty line, dropped like an empty password
+                continue
+            body = rng.choice((b"%d %s", b"%7d %s", b"  %d %s")) % (rng.randrange(1, 10**6), body)
+        lines.append(body + end)
+    if withcount:
+        lines.append("٣ arabic-indic count".encode("utf-8") + b"\r\n")
+    else:
+        lines.append(b"last1\r\n")
+    return lines
+
+
+def _expected_split(lines, fmt, expr):
+    """Each input line after CR strip and clamp, routed by its own record."""
+    kept, dropped = [], []
+    for line in lines:
+        raw = line.rstrip(b"\n")
+        raw = raw[: corpus.MAX_LINE_BYTES]
+        raw = raw[:-1] if raw.endswith(b"\r") else raw
+        records = list(read_records(io.BytesIO(line), fmt))
+        if records:
+            (kept if complies(records[0].text, expr) else dropped).append(raw + b"\n")
+    return b"".join(kept), b"".join(dropped)
+
+
+@pytest.mark.parametrize("chunk", [97, 4096, 1 << 20])
+@pytest.mark.parametrize("kind", ["plain", "withcount"])
+@pytest.mark.parametrize("skip_empty", [False, True])
+@pytest.mark.parametrize("final_newline", [False, True])
+def test_filter_stream_writes_back_line_bytes(monkeypatch, chunk, kind, skip_empty, final_newline):
+    monkeypatch.setattr(corpus, "_CHUNK_BYTES", chunk)
+    monkeypatch.setattr(corpus, "MAX_LINE_BYTES", 300)
+    fmt = CorpusFormat(kind, skip_empty)
+    expr = parse_policy("length>=6,digits>=1")
+    lines = _dirty_lines(chunk, kind == "withcount", skip_empty, 300)
+    data = b"".join(lines)
+    if not final_newline:
+        data = data[:-1]
+    want_stats = ReadStats()
+    want = filter_corpus(read_records(io.BytesIO(data), fmt, want_stats), expr)
+    out, reject, stats = io.BytesIO(), io.BytesIO(), ReadStats()
+    summary = filter_stream(io.BytesIO(data), fmt, expr, out, reject, stats)
+    assert summary == want
+    assert stats == want_stats
+    assert stats.truncated > 0 and summary.compliant > 0 and summary.rejected > 0
+    assert (out.getvalue(), reject.getvalue()) == _expected_split(lines, fmt, expr)
+    # None sinks discard but count the same.
+    assert filter_stream(io.BytesIO(data), fmt, expr, None, None) == want
+
+
+@pytest.mark.parametrize(
+    "bad", [b"x abc", b"0 abc", b"", b"12abc", b"   ", b"-3 abc", "٠ zero".encode("utf-8")]
+)
+def test_filter_stream_withcount_error_line_number(monkeypatch, bad):
+    monkeypatch.setattr(corpus, "_CHUNK_BYTES", 64)
+    data = b"".join(b"%7d ok%d\n" % (i + 1, i) for i in range(40)) + bad + b"\n5 after\n"
+    fmt = CorpusFormat("withcount")
+    with pytest.raises(CorpusFormatError) as want:
+        list(read_records(io.BytesIO(data), fmt))
+    with pytest.raises(CorpusFormatError) as got:
+        filter_stream(io.BytesIO(data), fmt, parse_policy("basic3"), io.BytesIO(), None)
+    assert want.value.line_number == got.value.line_number == 41
+    assert str(got.value) == str(want.value)
