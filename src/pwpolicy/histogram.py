@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import os
 from collections import Counter
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from decimal import ROUND_HALF_UP, Decimal
 from itertools import filterfalse
@@ -288,6 +287,10 @@ def scan_file(
     if threads == 1 or size < (1 << 22):
         with open(path, "rb") as f:
             return scan_stream(f, fmt, attributes, stats)
+    # Imported here: it pulls in multiprocessing, which only this branch
+    # uses, and every other command would pay for it at start-up.
+    from concurrent.futures import ProcessPoolExecutor
+
     parts = partition_offsets(path, threads)
     merged: dict[AttributeId, Histogram] = {
         attr: Histogram(attr, {}, 0) for attr in attributes

@@ -10,7 +10,14 @@ plus a controlled fraction of violating noise records, so recovery can be
 checked against a known answer.
 
 Everything is driven by a single seeded PRNG per call and is fully
-deterministic for a given spec and seed.
+deterministic for a given spec and seed. ``generate`` draws characters in
+batches of random bytes mapped onto each character pool through a byte
+table (``_CharBuffer``), and shuffles a password only where order reaches an
+attribute: letters against nonletters, which sets the letter-run count. The
+case order within letters and the digit/symbol order within nonletters are
+shuffled only for length violators, which keep a prefix of a compliant
+draw and would otherwise see every lowercase letter before every uppercase
+one.
 """
 
 from __future__ import annotations
@@ -182,14 +189,23 @@ class GeneratorSpec:
 
 
 class _CharBuffer:
-    """Batched character sampling; one rng.choices call per 16k chars."""
+    """Batched uniform character draws from one ASCII pool.
 
-    __slots__ = ("_rng", "_pool", "_buf", "_pos")
+    A refill takes 16k random bytes from the sampler's rng and turns them
+    into characters with one ``bytes.translate`` call, so the per-character
+    work runs in C: byte b becomes ``pool[b % len(pool)]``, and bytes at or
+    above ``256 - 256 % len(pool)`` are deleted first, so each character of
+    the pool keeps exactly the same chance.
+    """
+
+    __slots__ = ("_rng", "_table", "_reject", "_buf", "_pos")
     _BATCH = 16384
 
     def __init__(self, rng: random.Random, pool: str):
+        n = len(pool)
         self._rng = rng
-        self._pool = pool
+        self._table = bytes(ord(pool[b % n]) for b in range(256))
+        self._reject = bytes(range(256 - 256 % n, 256))
         self._buf = ""
         self._pos = 0
 
@@ -201,9 +217,13 @@ class _CharBuffer:
             return self._buf[pos:end]
         head = self._buf[pos:]
         need = k - len(head)
-        self._buf = "".join(self._rng.choices(self._pool, k=max(self._BATCH, need)))
+        buf = ""
+        while len(buf) < need:
+            raw = self._rng.randbytes(max(self._BATCH, need))
+            buf += raw.translate(self._table, self._reject).decode("ascii")
+        self._buf = buf
         self._pos = need
-        return head + self._buf[:need]
+        return head + buf[:need]
 
 
 def _pick(rng: random.Random, candidates: Sequence[int], weights: Sequence[float]) -> int:
@@ -260,13 +280,16 @@ class _Sampler:
         banned: int = 0,
         classes_exact: int | None = None,
         runs_target: int | None = None,
+        shuffle_all: bool = False,
     ) -> str:
         """Assemble one password.
 
         banned is a bitmask of excluded classes (class-count violators);
         classes_exact pins the number of distinct classes (classes
         violators); runs_target pins the letter-run count (word violators
-        and compliant word-policy passwords alike).
+        and compliant word-policy passwords alike); shuffle_all keeps the
+        shuffles that only set character order, for callers that cut the
+        password (see _assemble).
         """
         rng = self.rng
         rnd = rng.random
@@ -383,9 +406,9 @@ class _Sampler:
                     _SYMBOL if counts[_SYMBOL] else self._sep_class(banned)
                 )
                 counts[cls] += runs - 1 - nonletters
-        return self._assemble(counts, runs)
+        return self._assemble(counts, runs, shuffle_all)
 
-    def _assemble(self, counts: list, runs: int) -> str:
+    def _assemble(self, counts: list, runs: int, shuffle_all: bool) -> str:
         rng = self.rng
         bufs = self._buffers
         lo = bufs[_LOWER].take(counts[_LOWER]) if counts[_LOWER] else ""
@@ -394,19 +417,23 @@ class _Sampler:
         sy = bufs[_SYMBOL].take(counts[_SYMBOL]) if counts[_SYMBOL] else ""
         letters = lo + up
         nonletters = di + sy
+        # Only the order of letters against nonletters reaches an attribute
+        # (words), so that is the one shuffle every password gets. The case
+        # order within letters and the digit/symbol order within nonletters
+        # change no attribute of the whole password, but they do change a
+        # prefix of it, so shuffle_all keeps them for length violators.
         if not runs or not letters:
-            # Order is irrelevant to count attributes; a single-class
-            # password needs no shuffle at all.
             if not letters or not nonletters:
                 blend = letters or nonletters
-                if (lo and up) or (di and sy):
+                if shuffle_all and ((lo and up) or (di and sy)):
                     blend = self._shuffled(blend)
                 return blend
             return self._shuffled(letters + nonletters)
-        if lo and up:
-            letters = self._shuffled(letters)
-        if di and sy:
-            nonletters = self._shuffled(nonletters)
+        if shuffle_all:
+            if lo and up:
+                letters = self._shuffled(letters)
+            if di and sy:
+                nonletters = self._shuffled(nonletters)
         nl = len(letters)
         runs = min(runs, nl, len(nonletters) + 1)
         rnd = rng.random
@@ -462,9 +489,10 @@ class _Sampler:
         rng = self.rng
         attr, minimum = self.violatable[rng.randrange(len(self.violatable))]
         if attr is AttributeId.LENGTH:
-            # Reuse a compliant draw and keep a short prefix of it.
+            # Reuse a compliant draw, fully shuffled, and keep a short
+            # prefix of it.
             cut = rng.randint(0 if minimum == 1 else 1, minimum - 1)
-            return self._build()[:cut]
+            return self._build(shuffle_all=True)[:cut]
         if attr is AttributeId.WORDS:
             fewer = rng.randint(0, minimum - 1)
             if fewer == 0:

@@ -1,13 +1,26 @@
 import hashlib
 import itertools
+import math
+import random
 import re
+from collections import Counter
 
 import pytest
 
+import synth_laws
 from pwpolicy.attributes import AttributeId, extract
 from pwpolicy.corpus import PasswordRecord
+from pwpolicy.histogram import build_histograms
 from pwpolicy.policy import PolicyExpr, complies, parse_policy
-from pwpolicy.synth import CorruptionSpec, GeneratorSpec, corrupt, generate, pad
+from pwpolicy.synth import (
+    _POOLS,
+    CorruptionSpec,
+    GeneratorSpec,
+    _CharBuffer,
+    corrupt,
+    generate,
+    pad,
+)
 
 
 def R(text, mult=1):
@@ -218,10 +231,10 @@ def test_generated_text_is_printable_single_line():
 # 5,000 compliant records, seed 7. Changing these is changing the generator:
 # say so, and update them on purpose.
 GOLDEN_GENERATE_MD5 = {
-    ("basic8", 0.02): "b45b13057c248a0334629ab7f4d277b2",
-    ("2word12", 0.02): "e7a1830d838ca02637f11bbcf24953fa",
-    ("3class12", 0.02): "dc0d8109c113dde3845fef9673cb9769",
-    ("", 0.0): "0d411806b6e59e8e13a9834be0bc6b1a",
+    ("basic8", 0.02): "165f1cda370b84daea9d4dee4f9fe9f7",
+    ("2word12", 0.02): "8333dc4f60aa4073217d2ac6ac2664f6",
+    ("3class12", 0.02): "59ea68d9c19fdc7d6562b37641d79fbd",
+    ("", 0.0): "b6fcedf52574b0a345966c90666644e3",
 }
 
 
@@ -230,3 +243,164 @@ def test_generate_output_is_pinned_per_seed(policy, noise):
     expr = parse_policy(policy) if policy else PolicyExpr(())
     data = "".join(r.text + "\n" for r in generate(GeneratorSpec(expr, 5000, noise, 7)))
     assert hashlib.md5(data.encode("utf-8")).hexdigest() == GOLDEN_GENERATE_MD5[(policy, noise)]
+
+
+# --- laws of the generator ---------------------------------------------------
+# Fixed bounds, set before any sample was compared: a chi-square p-value under
+# 1e-4, or a two-proportion |z| of 4 or more (p ~ 6e-5), fails.
+MIN_P = 1e-4
+MAX_Z = 4.0
+
+
+def _chi2_sf(x, df):
+    """P(X >= x) for a chi-square variable with df degrees of freedom."""
+    if df % 2 == 0:
+        term = total = math.exp(-x / 2)
+        for k in range(1, df // 2):
+            term *= x / (2 * k)
+            total += term
+        return total
+    total = math.erfc(math.sqrt(x / 2))
+    term = math.sqrt(2 * x / math.pi) * math.exp(-x / 2)
+    for j in range(1, (df + 1) // 2):
+        total += term
+        term *= x / (2 * j + 1)
+    return total
+
+
+def test_chi2_sf_known_values():
+    assert _chi2_sf(0.0, 1) == pytest.approx(1.0)
+    assert _chi2_sf(3.841459, 1) == pytest.approx(0.05, abs=1e-6)
+    assert _chi2_sf(5.991465, 2) == pytest.approx(0.05, abs=1e-6)
+    assert _chi2_sf(11.070498, 5) == pytest.approx(0.05, abs=1e-6)
+    assert _chi2_sf(37.652484, 25) == pytest.approx(0.05, abs=1e-6)
+
+
+def _two_sample_p(a, b, min_bin=20):
+    """p-value that two histograms (value -> count) share one law.
+
+    Values are pooled in ascending order into bins holding at least min_bin
+    records of the two samples together, so no bin is too thin for the
+    chi-square approximation.
+    """
+    bins, cur = [], [0, 0]
+    for v in sorted(set(a) | set(b)):
+        cur[0] += a.get(v, 0)
+        cur[1] += b.get(v, 0)
+        if cur[0] + cur[1] >= min_bin:
+            bins.append(cur)
+            cur = [0, 0]
+    if bins:
+        bins[-1][0] += cur[0]
+        bins[-1][1] += cur[1]
+    if len(bins) < 2:
+        return 1.0
+    na, nb = sum(x for x, _ in bins), sum(y for _, y in bins)
+    ka, kb = math.sqrt(nb / na), math.sqrt(na / nb)
+    stat = sum((x * ka - y * kb) ** 2 / (x + y) for x, y in bins)
+    return _chi2_sf(stat, len(bins) - 1)
+
+
+def _z(k1, n1, k2, n2):
+    pooled = (k1 + k2) / (n1 + n2)
+    se = math.sqrt(pooled * (1 - pooled) * (1 / n1 + 1 / n2))
+    return (k1 / n1 - k2 / n2) / se if se else 0.0
+
+
+def test_two_sample_test_separates_laws():
+    rng = random.Random(3)
+    same_a = Counter(min(int(rng.expovariate(0.3)), 30) for _ in range(50_000))
+    same_b = Counter(min(int(rng.expovariate(0.3)), 30) for _ in range(50_000))
+    other = Counter(min(int(rng.expovariate(0.28)), 30) for _ in range(50_000))
+    assert _two_sample_p(same_a, same_b) >= MIN_P
+    assert _two_sample_p(same_a, other) < MIN_P
+
+
+def _reference_draws(seed, pool, sizes):
+    """What _CharBuffer.take must return, written as plain Python loops."""
+    rng = random.Random(seed)
+    n = len(pool)
+    keep = 256 - 256 % n
+    buf, out = "", []
+    for k in sizes:
+        if len(buf) < k:
+            need = k - len(buf)
+            fresh = ""
+            while len(fresh) < need:
+                raw = rng.randbytes(max(_CharBuffer._BATCH, need))
+                fresh += "".join(pool[b % n] for b in raw if b < keep)
+            buf += fresh
+        out.append(buf[:k])
+        buf = buf[k:]
+    return out
+
+
+@pytest.mark.parametrize("pool", _POOLS)
+def test_char_buffer_draws(pool):
+    # Small takes that cross many refills, a take far larger than _BATCH,
+    # then small takes again: at least 100k characters in all.
+    sizes = [1, 5, 13, 40, 0, 7] * 3000 + [2 * _CharBuffer._BATCH + 7] + [3, 29] * 500
+    buf = _CharBuffer(random.Random(21), pool)
+    got = [buf.take(k) for k in sizes]
+    assert got == _reference_draws(21, pool, sizes)
+    again = _CharBuffer(random.Random(21), pool)
+    assert [again.take(k) for k in sizes] == got
+    drawn = "".join(got)
+    assert len(drawn) == sum(sizes) >= 100_000
+    counts = Counter(drawn)
+    assert set(counts) <= set(pool)
+    expected = len(drawn) / len(pool)
+    stat = sum((counts[c] - expected) ** 2 / expected for c in pool)
+    assert _chi2_sf(stat, len(pool) - 1) >= MIN_P
+    # The byte table itself is exactly uniform over the bytes it keeps.
+    table_image = Counter(bytes(range(256)).translate(buf._table, buf._reject))
+    assert sorted(table_image) == sorted(pool.encode())
+    assert len(set(table_image.values())) == 1
+
+
+@pytest.mark.parametrize("policy, noise", [
+    ("basic8", 0.02), ("2class8", 0.02), ("2word12", 0.02), ("3class12", 0.02), ("", 0.0),
+])
+def test_generate_keeps_attribute_laws(policy, noise):
+    """Per-attribute histograms match the laws frozen in synth_laws."""
+    expr = parse_policy(policy) if policy else PolicyExpr(())
+    hists = build_histograms(generate(GeneratorSpec(expr, 100_000, noise, 12)))
+    frozen = synth_laws.LAW_HISTOGRAMS[policy]
+    p_values = {
+        attr.value: _two_sample_p(frozen[attr.value], hist.counts)
+        for attr, hist in hists.items()
+    }
+    assert min(p_values.values()) >= MIN_P, p_values
+
+
+@pytest.mark.parametrize("policy, min_length", [("basic8", 8), ("2word12", 12)])
+def test_length_violator_prefixes_keep_shuffled_order(policy, min_length):
+    """A length violator is a prefix of a fully shuffled compliant password.
+
+    Skipping a shuffle that only sets character order leaves the whole
+    password's attributes alone but moves its prefixes: unshuffled letters
+    put every lowercase letter before every uppercase one, and unshuffled
+    nonletters put digits before symbols.
+    """
+    n = upper = symbol = upper_first = symbol_first = 0
+    upper_then_lower = re.compile("[A-Z].*[a-z]")
+    symbol_then_digit = re.compile("[^A-Za-z0-9].*[0-9]")
+    for r in generate(GeneratorSpec(parse_policy(policy), 100_000, 0.5, 12)):
+        text = r.text
+        if len(text) >= min_length:
+            continue
+        n += 1
+        upper += any(c.isupper() for c in text)
+        symbol += any(not c.isalnum() for c in text)
+        upper_first += upper_then_lower.search(text) is not None
+        symbol_first += symbol_then_digit.search(text) is not None
+    frozen_n, *frozen_counts = synth_laws.PREFIX_COUNTS[policy]
+    z = {
+        name: _z(k, n, frozen_k, frozen_n)
+        for name, k, frozen_k in zip(
+            ("upper", "symbol", "upper before lower", "symbol before digit"),
+            (upper, symbol, upper_first, symbol_first),
+            frozen_counts,
+        )
+    }
+    assert max(abs(v) for v in z.values()) < MAX_Z, z
