@@ -9,8 +9,8 @@ Classification is byte-oriented: one byte per code point, looked up in a
 256-entry class table. Only ASCII a-z/A-Z count as letters; all other
 non-alphanumeric code points, including accented letters and whitespace,
 are symbols and break letter runs, so text is classified as its ASCII
-encoding with every other code point replaced by "?". Corpus scans call the
-byte helper directly on lines that are already ASCII, without decoding them.
+encoding with every other code point replaced by "?". byte_values does this
+for any line's bytes, and alone chooses between UTF-8 and Latin-1 for them.
 """
 
 from __future__ import annotations
@@ -85,8 +85,8 @@ def _build_class_table() -> bytes:
     return bytes(table)
 
 
-# Maps each byte to its class marker (l/u/d/s); callers hand it ASCII bytes,
-# one per code point.
+# Maps each byte to its class marker (l/u/d/s), one byte per code point;
+# every byte above 0x7F is a symbol.
 _CLASS_TABLE = _build_class_table()
 
 # Collapses a class-marker string to letters (x) vs. non-letters (space).
@@ -109,8 +109,17 @@ def classify_char(ch: str) -> CharClass:
     return CharClass.SYMBOL
 
 
-def _ascii_values(raw: bytes) -> tuple[int, int, int, int, int, int, int]:
-    """extract_all() of ASCII bytes, one byte per code point."""
+def byte_values(raw: bytes) -> tuple[int, int, int, int, int, int, int]:
+    """extract_all() of a corpus line's bytes, decoded as corpus._decode does.
+
+    A line that is not UTF-8 is Latin-1, one code point per byte, and every
+    byte above 0x7F is a symbol in _CLASS_TABLE, so it needs no decoding.
+    """
+    if not raw.isascii():
+        try:
+            raw = raw.decode("utf-8").encode("ascii", "replace")
+        except UnicodeDecodeError:
+            pass
     length = len(raw)
     marks = raw.translate(_CLASS_TABLE)
     lowers = marks.count(108)  # l
@@ -130,7 +139,7 @@ def extract_all(password: str) -> tuple[int, int, int, int, int, int, int]:
     Order: (length, words, lowers, uppers, digits, symbols, classes).
     """
     # "?" is a symbol, as is every non-ASCII code point it stands in for.
-    return _ascii_values(password.encode("ascii", "replace"))
+    return byte_values(password.encode("ascii", "replace"))
 
 
 def extract(attribute: AttributeId, password: str) -> int:

@@ -1,25 +1,27 @@
 """Streaming ingestion of leaked-password corpora.
 
 Corpora arrive as newline-delimited files in one of two layouts: ``plain``
-(one password per line) or ``withcount`` (a decimal multiplicity, one space,
-then the password, the layout produced by the usual ``sort | uniq -c``
-post-processing of public dumps). Both are read in a single bounded-memory
-pass; files of tens of millions of lines must stream through without ever
-being held in memory.
+(one password per line) or ``withcount`` (a multiplicity in ASCII digits,
+one space, then the password, the layout produced by the usual ``sort |
+uniq -c`` post-processing of public dumps). Both are read in a single
+bounded-memory pass; files of tens of millions of lines must stream
+through without ever being held in memory.
 
 Every reader shares one loop, _line_batches: the file is read in 1 MiB
 chunks, and each chunk is split into a list of the lines it completes, so
-per-line Python work is left to the consumer of each list. It has three
-consumers. read_records turns the lists into PasswordRecords (synth corrupt
-and the library API); histogram.scan_stream counts attribute shapes from
-them (hist, infer, plot); policy.filter_stream classifies each line and
-writes back its bytes (filter, synth pad). The last two make no records.
+per-line Python work is left to the consumer of each list. The line format
+lives in two helpers that every consumer calls: _plain_records (the
+skip-empty rule) and _withcount_records (that rule and the count grammar,
+_split_withcount). read_records makes PasswordRecords from them (synth
+corrupt and the library API); histogram.scan_stream counts attribute shapes
+(hist, infer, plot) and policy.filter_stream writes back each line's bytes
+(filter, synth pad), both with attributes.byte_values and no records.
 
 Dumps are dirty by nature. A single trailing CR is dropped to tolerate CRLF
 files, and pathological lines are clamped at 64 KiB (counted in
-ReadStats.truncated) so a corrupt line cannot balloon memory. Lines are
-decoded as UTF-8 with a byte-per-byte Latin-1 fallback so that no input can
-abort a scan.
+ReadStats.truncated) so a corrupt line cannot balloon memory. Passwords are
+decoded as UTF-8 with a byte-per-byte Latin-1 fallback (_decode) so that no
+input can abort a scan.
 
 Large files can be split into contiguous byte partitions aligned on line
 terminators (partition_offsets) and scanned by independent workers (seek to
@@ -31,7 +33,6 @@ split.
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass
 from typing import BinaryIO, Iterator, NamedTuple
 
@@ -100,22 +101,16 @@ class ReadStats:
         self.truncated += other.truncated
 
 
-_WITHCOUNT_RE = re.compile(r"^ *(\d+) ")
-
-
 def parse_withcount_line(line: str) -> tuple[int, str]:
     """Split one withcount line into (multiplicity, password).
 
-    Grammar: optional leading spaces, decimal digits, exactly one space,
-    then the password, which may itself contain or start with spaces.
+    Grammar: optional leading spaces, ASCII decimal digits, exactly one
+    space, then the password, which may itself contain or start with spaces.
     """
-    m = _WITHCOUNT_RE.match(line)
-    if m is None:
-        raise CorpusFormatError(f"expected '<count> <password>', got {line!r}")
-    count = int(m.group(1))
-    if count < 1:
-        raise CorpusFormatError(f"multiplicity must be >= 1, got {count}")
-    return count, line[m.end():]
+    raw = line.encode("utf-8", "surrogatepass")
+    count, password = _split_withcount(raw)
+    # The count prefix is ASCII: as many bytes as code points.
+    return count, line[len(raw) - len(password):]
 
 
 def _decode(raw: bytes) -> str:
@@ -184,28 +179,48 @@ def _strip_cr(line: bytes) -> bytes:
     return line[:-1] if line.endswith(b"\r") else line
 
 
-def _parse_line(
-    raw: bytes, fmt: CorpusFormat, stats: ReadStats, line_number: int
-) -> tuple[str, int] | None:
-    """Decode one line from _line_batches into (password, multiplicity).
+def _split_withcount(raw: bytes, line_number: int | None = None) -> tuple[int, bytes]:
+    """parse_withcount_line on a line's bytes; errors carry ``line_number``."""
+    head, sep, password = raw.lstrip(b" ").partition(b" ")
+    if not (sep and head.isdigit()):
+        got = repr(_decode(raw)) if raw else "empty line"
+        raise CorpusFormatError(f"expected '<count> <password>', got {got}", line_number)
+    count = int(head)
+    if count < 1:
+        raise CorpusFormatError(f"multiplicity must be >= 1, got {count}", line_number)
+    return count, password
 
-    Counts it in stats as a record, or returns None for an empty password
-    that fmt.skip_empty drops. Withcount lines that do not match the
-    grammar raise CorpusFormatError carrying ``line_number``.
+
+def _plain_records(lines: list[bytes], fmt: CorpusFormat, stats: ReadStats) -> list[bytes]:
+    """One plain chunk's record lines: all, less the empty ones fmt.skip_empty drops."""
+    if fmt.skip_empty and b"" in lines:
+        kept = list(filter(None, lines))
+        stats.skipped_empty += len(lines) - len(kept)
+        lines = kept
+    stats.records += len(lines)
+    return lines
+
+
+def _withcount_records(
+    lines: list[bytes], fmt: CorpusFormat, stats: ReadStats
+) -> Iterator[tuple[bytes, int, bytes]]:
+    """(line, count, password bytes) of each record in one withcount chunk.
+
+    fmt.skip_empty drops an empty line or password; otherwise an empty line
+    is a format error. ``stats.records`` is counted when the chunk is done.
     """
-    text, count = raw.decode("ascii") if raw.isascii() else _decode(raw), 1
-    if fmt.kind == "withcount" and (raw or not fmt.skip_empty):
-        if not raw:
-            raise CorpusFormatError("expected '<count> <password>', got empty line", line_number)
-        try:
-            count, text = parse_withcount_line(text)
-        except CorpusFormatError as exc:
-            raise CorpusFormatError(str(exc), line_number) from None
-    if fmt.skip_empty and not text:
-        stats.skipped_empty += 1
-        return None
-    stats.records += 1
-    return text, count
+    skip_empty = fmt.skip_empty
+    records = skipped = 0
+    for line_number, raw in enumerate(lines, stats.lines - len(lines) + 1):
+        if raw or not skip_empty:
+            count, password = _split_withcount(raw, line_number)
+            if password or not skip_empty:
+                records += 1
+                yield raw, count, password
+                continue
+        skipped += 1
+    stats.records += records
+    stats.skipped_empty += skipped
 
 
 def read_records(
@@ -223,10 +238,12 @@ def read_records(
     if stats is None:
         stats = ReadStats()
     for lines in _line_batches(stream, stats, limit):
-        for line_number, raw in enumerate(lines, stats.lines - len(lines) + 1):
-            parsed = _parse_line(raw, fmt, stats, line_number)
-            if parsed is not None:
-                yield PasswordRecord._make(parsed)
+        if fmt.kind == "withcount":
+            for _, count, password in _withcount_records(lines, fmt, stats):
+                yield PasswordRecord(_decode(password), count)
+        else:
+            for raw in _plain_records(lines, fmt, stats):
+                yield PasswordRecord(_decode(raw))
 
 
 def partition_offsets(path: str, parts: int) -> list[tuple[int, int]]:

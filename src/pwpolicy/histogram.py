@@ -13,10 +13,12 @@ scans exact: building per-partition histograms and merging them yields
 bit-identical tables, and the same ReadStats, no matter how (or whether)
 the input was split.
 
-build_histograms counts records; scan_stream counts a corpus stream from
-the corpus reader's per-chunk line lists, taking plain ASCII lines'
-attributes straight from their bytes. scan_file runs scan_stream over a
-file or, with threads > 1, over line-aligned partitions in worker processes.
+build_histograms counts records; scan_stream counts the passwords that
+corpus._plain_records and corpus._withcount_records yield, straight from
+their bytes with attributes.byte_values. Those three decide the line format
+and the decoding; this module decides neither. scan_file runs scan_stream
+over a file or, with threads > 1, over line-aligned partitions in worker
+processes.
 """
 
 from __future__ import annotations
@@ -25,17 +27,16 @@ import os
 from collections import Counter
 from dataclasses import dataclass
 from decimal import ROUND_HALF_UP, Decimal
-from itertools import filterfalse
 from typing import BinaryIO, Iterable, Sequence
 
-from .attributes import ATTRIBUTES, AttributeId, _ascii_values, extract_all
+from .attributes import ATTRIBUTES, AttributeId, byte_values, extract_all
 from .corpus import (
     CorpusFormat,
     PasswordRecord,
     ReadStats,
-    _decode,
     _line_batches,
-    _parse_line,
+    _plain_records,
+    _withcount_records,
     partition_offsets,
 )
 
@@ -133,22 +134,14 @@ def scan_stream(
     withcount = fmt.kind == "withcount"
     for lines in _line_batches(stream, stats, limit):
         if withcount:
-            for line_number, raw in enumerate(lines, stats.lines - len(lines) + 1):
-                parsed = _parse_line(raw, fmt, stats, line_number)
-                if parsed is not None:
-                    total += parsed[1]
-                    shapes[extract_all(parsed[0])] += parsed[1]
+            for _, count, password in _withcount_records(lines, fmt, stats):
+                total += count
+                shapes[byte_values(password)] += count
         else:
-            if fmt.skip_empty and b"" in lines:
-                kept = list(filter(None, lines))
-                stats.skipped_empty += len(lines) - len(kept)
-                lines = kept
-            stats.records += len(lines)
+            lines = _plain_records(lines, fmt, stats)
             total += len(lines)
-            # Counter.update counts in C; ASCII bytes need no decoding.
-            shapes.update(map(_ascii_values, filter(bytes.isascii, lines)))
-            for raw in filterfalse(bytes.isascii, lines):
-                shapes[extract_all(_decode(raw))] += 1
+            # Counter.update counts in C.
+            shapes.update(map(byte_values, lines))
         if len(shapes) >= _SHAPE_FLUSH:
             _flush_shapes(shapes, plan)
     return _histograms(shapes, plan, total)
@@ -251,20 +244,16 @@ def _scan_partition(
     path: str,
     start: int,
     end: int,
-    kind: str,
-    skip_empty: bool,
-    tokens: tuple[str, ...],
-) -> tuple[dict[str, dict[int, int]], int, tuple[int, int, int, int]]:
-    # Worker entry point; must stay module-level and picklable-friendly.
-    fmt = CorpusFormat(kind=kind, skip_empty=skip_empty)
-    attrs = [AttributeId(t) for t in tokens]
+    fmt: CorpusFormat,
+    attributes: tuple[AttributeId, ...],
+) -> tuple[dict[AttributeId, Histogram], ReadStats]:
+    # Worker entry point: module-level so it pickles; so do its arguments
+    # and its result.
     stats = ReadStats()
     with open(path, "rb") as f:
         f.seek(start)
-        hists = scan_stream(f, fmt, attrs, stats, limit=end - start)
-    total = hists[attrs[0]].total if attrs else 0
-    packed = {attr.value: hists[attr].counts for attr in attrs}
-    return packed, total, (stats.lines, stats.records, stats.skipped_empty, stats.truncated)
+        hists = scan_stream(f, fmt, attributes, stats, limit=end - start)
+    return hists, stats
 
 
 def scan_file(
@@ -295,18 +284,15 @@ def scan_file(
     merged: dict[AttributeId, Histogram] = {
         attr: Histogram(attr, {}, 0) for attr in attributes
     }
-    tokens = tuple(attr.value for attr in attributes)
     with ProcessPoolExecutor(max_workers=min(threads, len(parts))) as pool:
         futures = [
-            pool.submit(_scan_partition, path, start, end, fmt.kind, fmt.skip_empty, tokens)
+            pool.submit(_scan_partition, path, start, end, fmt, tuple(attributes))
             for start, end in parts
         ]
         for fut in futures:
-            packed, total, st = fut.result()
+            hists, part_stats = fut.result()
             for attr in attributes:
-                part = Histogram(attr, packed[attr.value], total)
-                merged[attr] = merge(merged[attr], part)
+                merged[attr] = merge(merged[attr], hists[attr])
             if stats is not None:
-                stats.add(ReadStats(*st))
+                stats.add(part_stats)
     return merged
-

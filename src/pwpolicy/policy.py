@@ -6,7 +6,10 @@ comma-separated list of ``<attribute>>=<int>`` terms, for example
 ``length>=6,digits>=1``.
 
 filter_corpus routes PasswordRecords; filter_stream splits a corpus stream
-and writes back the bytes of each line it read.
+and writes back the bytes of each line it read. It takes the records from
+corpus._plain_records and corpus._withcount_records and classifies each
+password's bytes with attributes.byte_values; those three decide the line
+format and the decoding.
 """
 
 from __future__ import annotations
@@ -14,10 +17,10 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from itertools import repeat
-from typing import BinaryIO, Callable, Iterable, Iterator, Mapping
+from typing import BinaryIO, Callable, Iterable, Mapping
 
-from .attributes import ATTRIBUTES, AttributeId, _ascii_values, extract_all
-from .corpus import CorpusFormat, ReadStats, _decode, _line_batches, _parse_line
+from .attributes import ATTRIBUTES, AttributeId, byte_values, extract_all
+from .corpus import CorpusFormat, ReadStats, _line_batches, _plain_records, _withcount_records
 
 _ATTR_INDEX = {attr: i for i, attr in enumerate(ATTRIBUTES)}
 _BASIC_RE = re.compile(r"^basic(\d+)$")
@@ -196,7 +199,7 @@ def filter_stream(
     dropped, a withcount line's count and spacing kept. A None sink
     discards. The summary, ReadStats and any CorpusFormatError are those of
     filter_corpus(read_records(stream, fmt, stats), expr), but no record is
-    made: ASCII lines are classified straight from their bytes.
+    made: each password is classified straight from its bytes.
     """
     if stats is None:
         stats = ReadStats()
@@ -207,14 +210,11 @@ def filter_stream(
         if withcount:
             records = _withcount_records(lines, fmt, stats)
         else:
-            if fmt.skip_empty and b"" in lines:
-                nonempty = list(filter(None, lines))
-                stats.skipped_empty += len(lines) - len(nonempty)
-                lines = nonempty
-            stats.records += len(lines)
-            records = zip(lines, repeat(1), map(_plain_values, lines))
+            lines = _plain_records(lines, fmt, stats)
+            records = zip(lines, repeat(1), lines)
         kept, dropped = [], []
-        for raw, count, values in records:
+        for raw, count, password in records:
+            values = byte_values(password)
             for idx, minimum in checks:
                 if values[idx] < minimum:
                     summary.rejected += count
@@ -229,37 +229,6 @@ def filter_stream(
         if reject is not None:
             reject.writelines(map(bytes.__add__, dropped, repeat(b"\n")))
     return summary
-
-
-def _plain_values(raw: bytes) -> tuple[int, int, int, int, int, int, int]:
-    """extract_all() of one plain line, decoding only a non-ASCII one."""
-    return _ascii_values(raw) if raw.isascii() else extract_all(_decode(raw))
-
-
-def _withcount_records(
-    lines: list[bytes], fmt: CorpusFormat, stats: ReadStats
-) -> Iterator[tuple[bytes, int, tuple]]:
-    """(line, count, attribute values) for each record line of one chunk.
-
-    An ASCII line is parsed on its bytes, which on ASCII is exactly
-    parse_withcount_line; every other line (non-ASCII, a bad count, an
-    empty password that fmt.skip_empty drops) goes through _parse_line,
-    which counts it and raises the same CorpusFormatError.
-    """
-    fast = 0
-    skip_empty = fmt.skip_empty
-    for line_number, raw in enumerate(lines, stats.lines - len(lines) + 1):
-        head, sep, password = raw.lstrip(b" ").partition(b" ")
-        if sep and head.isdigit() and raw.isascii() and (password or not skip_empty):
-            count = int(head)
-            if count >= 1:
-                fast += 1
-                yield raw, count, _ascii_values(password)
-                continue
-        parsed = _parse_line(raw, fmt, stats, line_number)
-        if parsed is not None:
-            yield raw, parsed[1], extract_all(parsed[0])
-    stats.records += fast
 
 
 def policy_minima(minima: Mapping[AttributeId, int]) -> PolicyExpr:

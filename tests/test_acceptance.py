@@ -45,12 +45,18 @@ TOL = Fraction(1, 10**9)
 @contextlib.contextmanager
 def criterion(number, description):
     t0 = time.perf_counter()
+    cpu0 = time.process_time()
+
+    def took():
+        wall = time.perf_counter() - t0
+        return f"[{wall:.2f}s wall, {time.process_time() - cpu0:.2f}s CPU]"
+
     try:
         yield
     except BaseException:
-        print(f"criterion {number} ({description}): FAIL [{time.perf_counter() - t0:.2f}s]")
+        print(f"criterion {number} ({description}): FAIL {took()}")
         raise
-    print(f"criterion {number} ({description}): PASS [{time.perf_counter() - t0:.2f}s]")
+    print(f"criterion {number} ({description}): PASS {took()}")
 
 
 def stream_table(attr_token, freqs):

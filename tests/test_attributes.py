@@ -3,10 +3,12 @@ import random
 import pytest
 from hypothesis import given, strategies as st
 
+from pwpolicy import corpus
 from pwpolicy.attributes import (
     ATTRIBUTES,
     AttributeId,
     CharClass,
+    byte_values,
     classify_char,
     extract,
     extract_all,
@@ -121,6 +123,13 @@ def test_extract_all_matches_reference(password):
 def test_ascii_fast_path_matches_reference(password):
     assert password.isascii()
     assert extract_all(password) == _reference_counts(password)
+
+
+@given(st.binary(max_size=64) | st.text(max_size=64).map(str.encode))
+def test_byte_values_match_decoded_text(raw):
+    # Arbitrary bytes are mostly not UTF-8, so they take the Latin-1 path,
+    # which classifies the bytes without decoding them.
+    assert byte_values(raw) == extract_all(corpus._decode(raw))
 
 
 def test_class_counts_partition_length():

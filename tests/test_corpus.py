@@ -70,7 +70,7 @@ def test_withcount_parsing():
 
 @pytest.mark.parametrize(
     "line",
-    ["hunter2", "12", "x 12", "-3 neg", "1.5 frac", ""],
+    ["hunter2", "12", "x 12", "-3 neg", "1.5 frac", "", "٣ pw", "１２ pw"],
 )
 def test_withcount_malformed(line):
     with pytest.raises(CorpusFormatError):

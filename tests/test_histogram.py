@@ -395,7 +395,13 @@ def test_scan_stream_limit_partitions(tmp_path, monkeypatch, kind):
 
 @pytest.mark.parametrize(
     "data, line_number",
-    [(b"1 a\n2 b\noops\n", 3), (b"1 a\r\n\n", 2), (b"1 a\n" * 3000 + b"0 zero\n", 3001)],
+    [
+        (b"1 a\n2 b\noops\n", 3),
+        (b"1 a\r\n\n", 2),
+        (b"1 a\n" * 3000 + b"0 zero\n", 3001),
+        ("1 a\n٣ pw\n".encode("utf-8"), 2),
+        ("１２ pw\n".encode("utf-8"), 1),
+    ],
 )
 def test_scan_stream_withcount_error_line_number(monkeypatch, data, line_number):
     monkeypatch.setattr(corpus, "_CHUNK_BYTES", 4096)

@@ -165,7 +165,7 @@ def _dirty_lines(seed: int, withcount: bool, skip_empty: bool, max_line: int) ->
             body = rng.choice((b"%d %s", b"%7d %s", b"  %d %s")) % (rng.randrange(1, 10**6), body)
         lines.append(body + end)
     if withcount:
-        lines.append("٣ arabic-indic count".encode("utf-8") + b"\r\n")
+        lines.append(b"      3 padded count\r\n")
     else:
         lines.append(b"last1\r\n")
     return lines
@@ -210,7 +210,18 @@ def test_filter_stream_writes_back_line_bytes(monkeypatch, chunk, kind, skip_emp
 
 
 @pytest.mark.parametrize(
-    "bad", [b"x abc", b"0 abc", b"", b"12abc", b"   ", b"-3 abc", "٠ zero".encode("utf-8")]
+    "bad",
+    [
+        b"x abc",
+        b"0 abc",
+        b"",
+        b"12abc",
+        b"   ",
+        b"-3 abc",
+        "٠ zero".encode("utf-8"),
+        "٣ pw".encode("utf-8"),
+        "１２ pw".encode("utf-8"),
+    ],
 )
 def test_filter_stream_withcount_error_line_number(monkeypatch, bad):
     monkeypatch.setattr(corpus, "_CHUNK_BYTES", 64)
