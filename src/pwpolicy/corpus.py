@@ -40,6 +40,9 @@ from typing import BinaryIO, Iterator, NamedTuple
 #: is discarded.
 MAX_LINE_BYTES = 64 * 1024
 
+#: Longest withcount count accepted: no corpus holds 10**18 copies of a line.
+MAX_COUNT_DIGITS = 18
+
 _CHUNK_BYTES = 1 << 20
 
 
@@ -104,8 +107,9 @@ class ReadStats:
 def parse_withcount_line(line: str) -> tuple[int, str]:
     """Split one withcount line into (multiplicity, password).
 
-    Grammar: optional leading spaces, ASCII decimal digits, exactly one
-    space, then the password, which may itself contain or start with spaces.
+    Grammar: optional leading spaces, at most MAX_COUNT_DIGITS ASCII decimal
+    digits, exactly one space, then the password, which may itself contain
+    or start with spaces.
     """
     raw = line.encode("utf-8", "surrogatepass")
     count, password = _split_withcount(raw)
@@ -185,6 +189,8 @@ def _split_withcount(raw: bytes, line_number: int | None = None) -> tuple[int, b
     if not (sep and head.isdigit()):
         got = repr(_decode(raw)) if raw else "empty line"
         raise CorpusFormatError(f"expected '<count> <password>', got {got}", line_number)
+    if len(head) > MAX_COUNT_DIGITS:
+        raise CorpusFormatError(f"count has more than {MAX_COUNT_DIGITS} digits", line_number)
     count = int(head)
     if count < 1:
         raise CorpusFormatError(f"multiplicity must be >= 1, got {count}", line_number)

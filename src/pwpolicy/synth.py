@@ -10,12 +10,19 @@ plus a controlled fraction of violating noise records, so recovery can be
 checked against a known answer.
 
 Everything is driven by a single seeded PRNG per call and is fully
-deterministic for a given spec and seed. ``generate`` draws characters in
+deterministic for a given spec and seed. ``generate`` draws each password's
+class structure (class floors, bulk class, letter runs) from a table of that
+structure's exact law: ``_Sampler._structure`` makes its random picks
+through a ``choose(weights)`` callable, and ``_compile`` replays every
+sequence of picks once, when a sampler first needs the structure for a
+policy and violator kind, into a cumulative table searched with one
+``random()`` per password. One more ``random()`` draws all per-class count
+tails from a module-level joint table (``_TAIL_TABLES``). Characters come in
 batches of random bytes mapped onto each character pool through a byte
-table (``_CharBuffer``), and shuffles a password only where order reaches an
-attribute: letters against nonletters, which sets the letter-run count. The
-case order within letters and the digit/symbol order within nonletters are
-shuffled only for length violators, which keep a prefix of a compliant
+table (``_CharBuffer``), and a password is shuffled only where order reaches
+an attribute: letters against nonletters, which sets the letter-run count.
+The case order within letters and the digit/symbol order within nonletters
+are shuffled only for length violators, which keep a prefix of a compliant
 draw and would otherwise see every lowercase letter before every uppercase
 one.
 """
@@ -23,11 +30,12 @@ one.
 from __future__ import annotations
 
 import itertools
+import math
 import random
 import re
 from bisect import bisect_right
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import Callable, Hashable, Iterable, Iterator, Sequence
 
 from .attributes import AttributeId
 from .corpus import PasswordRecord
@@ -77,24 +85,66 @@ _MANDATE_BOOST = 3.0
 _EXTRA_CLASS_P = 0.22
 _EXTRA_CLASS_DECAY = 0.25
 _COUNT_TAIL_P = 0.45  # continue-probability of the per-class count tail
+_COUNT_TAIL_MAX = 6
 _LEN_TAIL_CONSTRAINED = 0.65  # decay per extra char over minimum, 9 steps
 _LEN_TAIL_ORGANIC = 0.78  # decay for unconstrained lengths, from 1
-_RUN_EXTRA_CUM = (0.70, 0.92)  # 0/1/2 extra letter runs
-_CASE_CUM = (0.55, 0.77)  # all-lower / all-upper / mixed letter profile
-_SEP_PICK_DIGIT = 0.55
+_RUN_EXTRA_WEIGHTS = (0.70, 0.22, 0.08)  # 0/1/2 extra letter runs
+_CASE_WEIGHTS = (0.55, 0.22, 0.23)  # all-lower / all-upper / mixed letter profile
+_SEP_WEIGHTS = (0.0, 0.0, 0.55, 0.45)  # the class of a forced word separator
 
 
-def _geom_cum(ratio: float, steps: int) -> list[float]:
-    weights = [ratio**k for k in range(steps)]
-    total = sum(weights)
-    acc, cum = 0.0, []
-    for w in weights:
-        acc += w / total
-        cum.append(acc)
-    return cum
+def _cumulative(weights: Sequence[float]) -> list[float]:
+    """Cumulative probabilities of weights, ending at exactly 1.0."""
+    cum = list(itertools.accumulate(weights))
+    total = cum[-1]
+    return [c / total for c in cum]
 
-_LEN_CUM_CONSTRAINED = _geom_cum(_LEN_TAIL_CONSTRAINED, 9)
-_LEN_CUM_ORGANIC = _geom_cum(_LEN_TAIL_ORGANIC, 24)
+_LEN_CUM_CONSTRAINED = _cumulative([_LEN_TAIL_CONSTRAINED**k for k in range(9)])
+_LEN_CUM_ORGANIC = _cumulative([_LEN_TAIL_ORGANIC**k for k in range(24)])
+
+# Joint law of k independent count tails (k = 0..3, one per class present
+# beside the bulk class): each is geometric above the class floor, cut at
+# _COUNT_TAIL_MAX. _TAIL_TABLES[k] is (cumulative, offset k-tuples).
+_TAIL_LAW = [
+    (1 - _COUNT_TAIL_P) * _COUNT_TAIL_P**t for t in range(_COUNT_TAIL_MAX)
+] + [_COUNT_TAIL_P**_COUNT_TAIL_MAX]
+_TAIL_TABLES = tuple(
+    (_cumulative([math.prod(_TAIL_LAW[t] for t in row) for row in rows]), rows)
+    for rows in (
+        list(itertools.product(range(_COUNT_TAIL_MAX + 1), repeat=k)) for k in range(4)
+    )
+)
+
+
+def _compile(draw: Callable[[Callable[[Sequence[float]], int]], Hashable]) -> tuple[list, list]:
+    """Tabulate the law of ``draw(choose)`` as (cumulative, outcomes).
+
+    ``choose(weights)`` stands for a random pick of index i with probability
+    ``weights[i] / sum(weights)``. Every sequence of picks is replayed once,
+    depth first; equal outcomes share one row, in the order first met.
+    """
+    law: dict = {}
+    pending: list[tuple[int, ...]] = [()]
+    while pending:
+        path = pending.pop()
+        taken: list[int] = []
+        prob = 1.0
+
+        def choose(weights: Sequence[float]) -> int:
+            nonlocal prob
+            if len(taken) < len(path):
+                i = path[len(taken)]
+            else:
+                i = 0
+                prefix = tuple(taken)
+                pending.extend(prefix + (j,) for j in range(len(weights) - 1, 0, -1))
+            taken.append(i)
+            prob *= weights[i] / sum(weights)
+            return i
+
+        outcome = draw(choose)
+        law[outcome] = law.get(outcome, 0.0) + prob
+    return _cumulative(list(law.values())), list(law)
 
 
 def pad(base: Iterable[PasswordRecord], pads: Sequence[Iterable[PasswordRecord]]) -> Iterator[PasswordRecord]:
@@ -226,20 +276,6 @@ class _CharBuffer:
         return head + buf[:need]
 
 
-def _pick(rng: random.Random, candidates: Sequence[int], weights: Sequence[float]) -> int:
-    if len(candidates) == 1:
-        return candidates[0]
-    total = 0.0
-    for c in candidates:
-        total += weights[c]
-    r = rng.random() * total
-    for c in candidates:
-        r -= weights[c]
-        if r < 0.0:
-            return c
-    return candidates[-1]
-
-
 class _Sampler:
     """Draws compliant passwords and targeted violators for one policy."""
 
@@ -258,6 +294,7 @@ class _Sampler:
             (attr, m) for attr, m in expr.constraints if m >= 1
         )
         self._buffers = tuple(_CharBuffer(self.rng, pool) for pool in _POOLS)
+        self._tables: dict[tuple, tuple[list, list]] = {}
 
     # -- building blocks ----------------------------------------------------
 
@@ -267,13 +304,81 @@ class _Sampler:
             return self.length_min + bisect_right(_LEN_CUM_CONSTRAINED, r)
         return 1 + bisect_right(_LEN_CUM_ORGANIC, r)
 
-    def _sep_class(self, banned: int) -> int:
-        # Callers never ban both nonletter classes at once.
-        if banned & (1 << _DIGIT):
-            return _SYMBOL
-        if banned & (1 << _SYMBOL):
-            return _DIGIT
-        return _DIGIT if self.rng.random() < _SEP_PICK_DIGIT else _SYMBOL
+    def _structure(
+        self,
+        choose: Callable[[Sequence[float]], int],
+        banned: int,
+        classes_exact: int | None,
+        runs_target: int | None,
+    ) -> tuple:
+        """One password's class structure, with every random pick made by choose.
+
+        Returns (floors, base, tails, runs): each class's minimum count, the
+        bulk class that takes up the rest of the length, the other classes
+        present (each gets a count tail above its floor) and the letter-run
+        count. See _build for the arguments.
+        """
+        avail = _AVAIL[banned]
+        letters_avail = _LETTERS_AVAIL[banned]
+        floors = [0 if banned & (1 << c) else m for c, m in enumerate(self.class_min)]
+
+        def pick(candidates: Sequence[int], weights: Sequence[float]) -> int:
+            return candidates[choose([weights[c] for c in candidates])]
+
+        def present() -> int:
+            return sum(f > 0 for f in floors)
+
+        runs = 0
+        if classes_exact is None:
+            if runs_target is not None:
+                runs = runs_target
+            elif self.words_min:
+                runs = self.words_min + choose(_RUN_EXTRA_WEIGHTS)
+            if not letters_avail:
+                runs = 0
+        if runs:
+            # Per-password case profile. Both single-case and mixed-case
+            # populations stay common so neither letter count looks enforced
+            # at the run-count boundary.
+            if len(letters_avail) == 1:
+                profile = ((letters_avail[0], runs),)
+            else:
+                profile = (
+                    ((_LOWER, runs),),
+                    ((_UPPER, runs),),
+                    ((_LOWER, max(runs - 1, 1)), (_UPPER, 1)),
+                )[choose(_CASE_WEIGHTS)]
+            for cls, m in profile:
+                floors[cls] = max(floors[cls], m)
+            if runs >= 2 and not floors[_DIGIT] and not floors[_SYMBOL]:
+                # Callers never ban both nonletter classes at once.
+                floors[pick([c for c in (_DIGIT, _SYMBOL) if c in avail], _SEP_WEIGHTS)] = 1
+        if classes_exact is not None:
+            for cls in (_SYMBOL, _DIGIT, _UPPER, _LOWER):
+                if present() > classes_exact:
+                    floors[cls] = 0
+            target = classes_exact
+        else:
+            target = min(self.classes_min, len(avail))
+        while present() < target:
+            floors[pick([c for c in avail if not floors[c]], _SET_WEIGHTS)] = 1
+        if classes_exact is not None or self.classes_min >= 2 or runs:
+            # The bulk class comes from within the chosen set; spilling it
+            # outside would make the spilled class look mandatory.
+            base = pick([c for c in range(4) if floors[c]], _BASE_WEIGHTS)
+        else:
+            # Mandated presence classes bias the bulk pick but must not own
+            # it, or their count histogram just mirrors the length one.
+            boosted = [w * _MANDATE_BOOST if f else w for w, f in zip(_BASE_WEIGHTS, floors)]
+            base = pick(avail, boosted)
+            floors[base] = max(floors[base], 1)
+        if classes_exact is None:
+            p = _EXTRA_CLASS_P
+            while present() < len(avail) and choose((p, 1.0 - p)) == 0:
+                floors[pick([c for c in avail if not floors[c]], _BASE_WEIGHTS)] = 1
+                p *= _EXTRA_CLASS_DECAY
+        tails = tuple(c for c in range(4) if floors[c] and c != base)
+        return tuple(floors), base, tails, runs
 
     def _build(
         self,
@@ -289,105 +394,24 @@ class _Sampler:
         violators); runs_target pins the letter-run count (word violators
         and compliant word-policy passwords alike); shuffle_all keeps the
         shuffles that only set character order, for callers that cut the
-        password (see _assemble).
+        password (see _assemble). The structure comes from the table of
+        _structure's law for these arguments, compiled on first use.
         """
-        rng = self.rng
-        rnd = rng.random
-        avail = _AVAIL[banned]
-        letters_avail = _LETTERS_AVAIL[banned]
-        if banned:
-            floors = [
-                0 if banned & (1 << c) else m for c, m in enumerate(self.class_min)
-            ]
-        else:
-            floors = self.class_min.copy()
-        nfloors = (floors[0] > 0) + (floors[1] > 0) + (floors[2] > 0) + (floors[3] > 0)
-        runs = 0
-        if classes_exact is None:
-            if runs_target is not None:
-                runs = runs_target
-            elif self.words_min:
-                r = rnd()
-                runs = self.words_min + (r >= _RUN_EXTRA_CUM[0]) + (r >= _RUN_EXTRA_CUM[1])
-            if runs and not letters_avail:
-                runs = 0
-        if runs:
-            # Per-password case profile. Both single-case and mixed-case
-            # populations stay common so neither letter count looks enforced
-            # at the run-count boundary.
-            if len(letters_avail) == 1:
-                profile = ((letters_avail[0], runs),)
-            else:
-                r = rnd()
-                if r < _CASE_CUM[0]:
-                    profile = ((_LOWER, runs),)
-                elif r < _CASE_CUM[1]:
-                    profile = ((_UPPER, runs),)
-                else:
-                    profile = ((_LOWER, runs - 1 if runs > 1 else 1), (_UPPER, 1))
-            for cls, m in profile:
-                if floors[cls] < m:
-                    if not floors[cls]:
-                        nfloors += 1
-                    floors[cls] = m
-            if runs >= 2 and not floors[_DIGIT] and not floors[_SYMBOL]:
-                floors[self._sep_class(banned)] = 1
-                nfloors += 1
-        if classes_exact is not None:
-            for cls in (_SYMBOL, _DIGIT, _UPPER, _LOWER):
-                if nfloors <= classes_exact:
-                    break
-                if floors[cls]:
-                    floors[cls] = 0
-                    nfloors -= 1
-            while nfloors < classes_exact:
-                floors[_pick(rng, [c for c in avail if not floors[c]], _SET_WEIGHTS)] = 1
-                nfloors += 1
-        else:
-            target = self.classes_min if self.classes_min < len(avail) else len(avail)
-            while nfloors < target:
-                floors[_pick(rng, [c for c in avail if not floors[c]], _SET_WEIGHTS)] = 1
-                nfloors += 1
-        if classes_exact is not None or self.classes_min >= 2 or runs:
-            # The bulk class comes from within the chosen set; spilling it
-            # outside would make the spilled class look mandatory.
-            base = _pick(rng, [c for c in range(4) if floors[c]], _BASE_WEIGHTS)
-        elif nfloors:
-            # Mandated presence classes bias the bulk pick but must not own
-            # it, or their count histogram just mirrors the length one.
-            total = 0.0
-            for c in avail:
-                total += _BASE_WEIGHTS[c] * (_MANDATE_BOOST if floors[c] else 1.0)
-            r = rnd() * total
-            base = avail[-1]
-            for c in avail:
-                r -= _BASE_WEIGHTS[c] * (_MANDATE_BOOST if floors[c] else 1.0)
-                if r < 0.0:
-                    base = c
-                    break
-            if not floors[base]:
-                floors[base] = 1
-                nfloors += 1
-        else:
-            base = _pick(rng, avail, _BASE_WEIGHTS)
-            floors[base] = 1
-            nfloors = 1
-        if classes_exact is None:
-            p = _EXTRA_CLASS_P
-            while nfloors < len(avail) and rnd() < p:
-                floors[_pick(rng, [c for c in avail if not floors[c]], _BASE_WEIGHTS)] = 1
-                nfloors += 1
-                p *= _EXTRA_CLASS_DECAY
-        counts = [0, 0, 0, 0]
-        nonbase = 0
-        for cls in range(4):
-            f = floors[cls]
-            if f and cls != base:
-                c = f
-                while c - f < 6 and rnd() < _COUNT_TAIL_P:
-                    c += 1
-                counts[cls] = c
-                nonbase += c
+        key = (banned, classes_exact, runs_target)
+        table = self._tables.get(key)
+        if table is None:
+            table = self._tables[key] = _compile(
+                lambda choose: self._structure(choose, *key)
+            )
+        cum, rows = table
+        rnd = self.rng.random
+        floors, base, tails, runs = rows[bisect_right(cum, rnd())]
+        counts = list(floors)
+        if tails:
+            tail_cum, offsets = _TAIL_TABLES[len(tails)]
+            for cls, t in zip(tails, offsets[bisect_right(tail_cum, rnd())]):
+                counts[cls] += t
+        nonbase = sum(counts) - floors[base]
         n = self._draw_length()
         need = nonbase + floors[base]
         if n < need:
@@ -397,14 +421,13 @@ class _Sampler:
             letters = counts[_LOWER] + counts[_UPPER]
             if letters < runs:
                 cls = _LOWER if counts[_LOWER] else (
-                    _UPPER if counts[_UPPER] else letters_avail[0]
+                    _UPPER if counts[_UPPER] else _LETTERS_AVAIL[banned][0]
                 )
                 counts[cls] += runs - letters
             nonletters = counts[_DIGIT] + counts[_SYMBOL]
             if nonletters < runs - 1:
-                cls = _DIGIT if counts[_DIGIT] else (
-                    _SYMBOL if counts[_SYMBOL] else self._sep_class(banned)
-                )
+                # The structure gives every multi-run password a separator class.
+                cls = _DIGIT if counts[_DIGIT] else _SYMBOL
                 counts[cls] += runs - 1 - nonletters
         return self._assemble(counts, runs, shuffle_all)
 

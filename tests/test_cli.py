@@ -107,6 +107,13 @@ def test_hist_bad_withcount_line_is_format_error(write_corpus, capsys):
     assert "line 1" in err
 
 
+def test_hist_overlong_withcount_count_is_format_error(write_corpus, capsys):
+    path = write_corpus(["1 a", "1" * 5000 + " pw"])
+    code, _, err = run(capsys, "hist", path, "length", "--input-format", "withcount")
+    assert code == 3
+    assert "line 2" in err and "more than 18 digits" in err
+
+
 def test_hist_empty_corpus_is_usage_error(write_corpus, capsys):
     path = write_corpus([""])
     code, _, err = run(

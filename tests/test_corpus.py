@@ -77,6 +77,14 @@ def test_withcount_malformed(line):
         parse_withcount_line(line)
 
 
+def test_withcount_overlong_count_rejected():
+    # Python's int() refuses strings of more than 4,300 digits with a plain
+    # ValueError; the grammar rejects long counts before that.
+    with pytest.raises(CorpusFormatError, match="more than 18 digits"):
+        parse_withcount_line("1" * 5000 + " pw")
+    assert parse_withcount_line("9" * 18 + " pw") == (10**18 - 1, "pw")
+
+
 def test_withcount_zero_count_rejected():
     with pytest.raises(CorpusFormatError, match="multiplicity must be >= 1"):
         parse_withcount_line("0 ghost")

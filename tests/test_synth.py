@@ -14,9 +14,11 @@ from pwpolicy.histogram import build_histograms
 from pwpolicy.policy import PolicyExpr, complies, parse_policy
 from pwpolicy.synth import (
     _POOLS,
+    _TAIL_TABLES,
     CorruptionSpec,
     GeneratorSpec,
     _CharBuffer,
+    _Sampler,
     corrupt,
     generate,
     pad,
@@ -231,10 +233,10 @@ def test_generated_text_is_printable_single_line():
 # 5,000 compliant records, seed 7. Changing these is changing the generator:
 # say so, and update them on purpose.
 GOLDEN_GENERATE_MD5 = {
-    ("basic8", 0.02): "165f1cda370b84daea9d4dee4f9fe9f7",
-    ("2word12", 0.02): "8333dc4f60aa4073217d2ac6ac2664f6",
-    ("3class12", 0.02): "59ea68d9c19fdc7d6562b37641d79fbd",
-    ("", 0.0): "b6fcedf52574b0a345966c90666644e3",
+    ("basic8", 0.02): "d42784984a9be664741a3020f9f68087",
+    ("2word12", 0.02): "2ff0165f705588e1dab6cbf1889e9898",
+    ("3class12", 0.02): "aa99e8e7cc304ef620f9261c249e206b",
+    ("", 0.0): "cb71e5aaf5bd8594ca4da417ef501d00",
 }
 
 
@@ -359,7 +361,8 @@ def test_char_buffer_draws(pool):
 
 
 @pytest.mark.parametrize("policy, noise", [
-    ("basic8", 0.02), ("2class8", 0.02), ("2word12", 0.02), ("3class12", 0.02), ("", 0.0),
+    ("basic8", 0.02), ("2class8", 0.02), ("2word12", 0.02), ("3class12", 0.02),
+    ("length>=6,digits>=1", 0.02), ("4class8", 0.02), ("", 0.0),
 ])
 def test_generate_keeps_attribute_laws(policy, noise):
     """Per-attribute histograms match the laws frozen in synth_laws."""
@@ -404,3 +407,71 @@ def test_length_violator_prefixes_keep_shuffled_order(policy, min_length):
         )
     }
     assert max(abs(v) for v in z.values()) < MAX_Z, z
+
+
+# --- compiled structure tables -----------------------------------------------
+# Policy names of the CMU studies (Kelley et al. 2012, Shay et al. 2016) and
+# the rules this repository's grid adds.
+NAMED_POLICIES = (
+    "basic8", "basic16", "1class8", "2class8", "3class8", "3class12", "3class16",
+    "4class8", "2word12", "2word16", "3word16", "length>=6,digits>=1",
+)
+
+
+def _sampler_tables(policy):
+    """The structure tables one sampler compiles: compliant and every violator kind."""
+    sampler = _Sampler(parse_policy(policy), 0)
+    sampler.compliant()
+    for _ in range(2000):
+        sampler.violator()
+    return sampler._tables
+
+
+def test_compiled_tables_are_cumulative_laws():
+    tables = [table for policy in NAMED_POLICIES for table in _sampler_tables(policy).values()]
+    tables += _TAIL_TABLES
+    for cum, rows in tables:
+        assert len(cum) == len(rows) == len(set(rows))
+        assert cum[-1] == 1.0
+        assert all(a <= b for a, b in zip(cum, cum[1:]))
+        assert cum[0] > 0.0
+
+
+@pytest.mark.parametrize("policy", NAMED_POLICIES)
+def test_structure_tables_stay_small(policy):
+    # The rows of a table are held for as long as its sampler lives.
+    tables = _sampler_tables(policy)
+    assert max(len(rows) for _, rows in tables.values()) <= 1000
+
+
+@pytest.mark.parametrize("policy", ["basic8", "2word12"])
+def test_structure_table_is_the_law_of_the_random_draw(policy):
+    """200k structures drawn pick by pick at random follow the compiled table."""
+    sampler = _Sampler(parse_policy(policy), 0)
+    sampler.compliant()
+    cum, rows = sampler._tables[(0, None, None)]
+    rng = random.Random(17)
+
+    def choose(weights):
+        r = rng.random() * sum(weights)
+        for i, w in enumerate(weights):
+            r -= w
+            if r < 0.0:
+                return i
+        return len(weights) - 1
+
+    n = 200_000
+    drawn = Counter(sampler._structure(choose, 0, None, None) for _ in range(n))
+    assert set(drawn) <= set(rows)
+    probs = [b - a for a, b in zip([0.0, *cum], cum)]
+    bins, cur = [], [0, 0.0]
+    for row, p in zip(rows, probs):
+        cur[0] += drawn[row]
+        cur[1] += n * p
+        if cur[1] >= 20:
+            bins.append(cur)
+            cur = [0, 0.0]
+    bins[-1][0] += cur[0]
+    bins[-1][1] += cur[1]
+    stat = sum((seen - expected) ** 2 / expected for seen, expected in bins)
+    assert _chi2_sf(stat, len(bins) - 1) >= MIN_P
