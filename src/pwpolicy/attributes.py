@@ -9,13 +9,21 @@ Classification is byte-oriented: one byte per code point, looked up in a
 256-entry class table. Only ASCII a-z/A-Z count as letters; all other
 non-alphanumeric code points, including accented letters and whitespace,
 are symbols and break letter runs, so text is classified as its ASCII
-encoding with every other code point replaced by "?". byte_values does this
-for any line's bytes, and alone chooses between UTF-8 and Latin-1 for them.
+encoding with every other code point replaced by "?".
+
+Two functions classify bytes, with one decoding rule: bytes that decode as
+UTF-8 count one per code point, and any other bytes are Latin-1, one code
+point per byte. byte_values classifies one password (extract_all,
+build_histograms, policy.filter_stream). batch_values classifies a batch of
+corpus lines with whole-batch bytes operations (histogram.scan_stream), and
+complete_values derives symbols and classes from its five counts.
 """
 
 from __future__ import annotations
 
 import enum
+from itertools import compress
+from typing import Iterator, Sequence
 
 
 class CharClass(enum.Enum):
@@ -94,6 +102,12 @@ _RUN_TABLE = bytes(
     ord("x") if chr(i) in "lu" else ord(" ") for i in range(256)
 )
 
+# The two tables above with newlines kept, to classify a batch of lines.
+_BATCH_CLASS_TABLE = _CLASS_TABLE[:10] + b"\n" + _CLASS_TABLE[11:]
+_BATCH_RUN_TABLE = _RUN_TABLE[:10] + b"\n" + _RUN_TABLE[11:]
+# Deleting these leaves a batch's bytes above 0x7F and its newlines.
+_ASCII_BUT_NEWLINE = bytes(range(10)) + bytes(range(11, 128))
+
 
 def classify_char(ch: str) -> CharClass:
     """Classify a single code point into one of the four classes."""
@@ -129,6 +143,47 @@ def byte_values(raw: bytes) -> tuple[int, int, int, int, int, int, int]:
     # A letter run starts at the first byte or after a non-letter.
     runs = marks.translate(_RUN_TABLE)
     words = runs.count(b" x") + runs.startswith(b"x")
+    classes = (lowers > 0) + (uppers > 0) + (digits > 0) + (symbols > 0)
+    return (length, words, lowers, uppers, digits, symbols, classes)
+
+
+def batch_values(lines: Sequence[bytes]) -> Iterator[tuple[int, int, int, int, int]]:
+    """byte_values(line)[:5] of each line in a batch of newline-free lines.
+
+    Each column comes from a few bytes operations on the whole batch, not
+    from one call per line; complete_values adds symbols and classes. A
+    non-ASCII line that is UTF-8 counts one per code point: byte_values
+    classifies it as its ASCII encoding with each other code point made
+    "?", and every byte of such a code point is already a symbol in
+    _CLASS_TABLE, so only its continuation bytes must not count.
+    """
+    joined = b"\n".join(lines)
+    lengths = list(map(len, lines))
+    marks = joined.translate(_BATCH_CLASS_TABLE)
+    # Each column becomes a list of ints before the next is split, so only
+    # one column's pieces are alive at a time.
+    lowers, uppers, digits = (
+        list(map(len, marks.translate(None, others).split(b"\n")))
+        for others in (b"uds", b"lds", b"lus")
+    )
+    # A letter run starts at a letter after a non-letter or a line start.
+    runs = b" " + marks.translate(_BATCH_RUN_TABLE).replace(b"\n", b"\n ")
+    starts = runs.replace(b" x", b"w").translate(None, b" x")
+    words = list(map(len, starts.split(b"\n")))
+    if not joined.isascii():
+        high = map(len, joined.translate(None, _ASCII_BUT_NEWLINE).split(b"\n"))
+        for i in compress(range(len(lines)), high):
+            try:
+                lengths[i] = len(lines[i].decode("utf-8"))
+            except UnicodeDecodeError:
+                pass  # Latin-1: one code point per byte
+    return zip(lengths, words, lowers, uppers, digits)
+
+
+def complete_values(values: tuple[int, int, int, int, int]) -> tuple[int, ...]:
+    """The seven attribute values of one of batch_values' 5-tuples."""
+    length, words, lowers, uppers, digits = values
+    symbols = length - lowers - uppers - digits
     classes = (lowers > 0) + (uppers > 0) + (digits > 0) + (symbols > 0)
     return (length, words, lowers, uppers, digits, symbols, classes)
 

@@ -17,7 +17,14 @@ from typing import BinaryIO, Sequence, TextIO
 
 from . import __version__
 from .attributes import ATTRIBUTES, AttributeId
-from .corpus import CorpusFormat, CorpusFormatError, PasswordRecord, read_records
+from .corpus import (
+    MAX_LINE_BYTES,
+    CorpusFormat,
+    CorpusFormatError,
+    PasswordRecord,
+    ReadStats,
+    read_records,
+)
 from .histogram import (
     MultiplierTable,
     build_histograms,
@@ -57,9 +64,22 @@ def _corpus_format(args) -> CorpusFormat:
 def _corpus_histograms(
     path: str, fmt: CorpusFormat, attributes: Sequence[AttributeId], threads: int
 ):
+    stats = ReadStats()
     if path == "-":
-        return scan_stream(sys.stdin.buffer, fmt, attributes)
-    return scan_file(path, fmt, attributes, threads=threads)
+        hists = scan_stream(sys.stdin.buffer, fmt, attributes, stats)
+    else:
+        hists = scan_file(path, fmt, attributes, threads=threads, stats=stats)
+    _warn_clamped(stats)
+    return hists
+
+
+def _warn_clamped(stats: ReadStats) -> None:
+    """One stderr line when the scan clamped any line, nothing otherwise."""
+    n = stats.truncated
+    if n:
+        lines, was = ("line", "was") if n == 1 else ("lines", "were")
+        print(f"warning: {n} {lines} longer than {MAX_LINE_BYTES} bytes {was} clamped",
+              file=sys.stderr)
 
 
 def _open_corpus(path: str) -> contextlib.AbstractContextManager[BinaryIO]:
@@ -194,7 +214,9 @@ def _cmd_filter(args) -> int:
         stream = stack.enter_context(_open_corpus(args.file))
         out = _open_binary_out(args.out, stack)
         reject = None if args.reject is None else stack.enter_context(open(args.reject, "wb"))
-        summary = filter_stream(stream, _corpus_format(args), expr, out, reject)
+        stats = ReadStats()
+        summary = filter_stream(stream, _corpus_format(args), expr, out, reject, stats)
+    _warn_clamped(stats)
     # The summary must not interleave with records on standard output.
     to_stdout = args.out is None or args.out == "-"
     print(json.dumps(summary.to_json()), file=sys.stderr if to_stdout else sys.stdout)
@@ -299,11 +321,13 @@ def _cmd_synth_generate(args) -> int:
 def _cmd_synth_pad(args) -> int:
     # Padding is filtering by the empty policy: every line is kept as read.
     fmt = _corpus_format(args)
+    stats = ReadStats()
     with contextlib.ExitStack() as stack:
         out = _open_binary_out(args.out, stack)
         for path in (args.base, *args.pads):
             with _open_corpus(path) as stream:
-                filter_stream(stream, fmt, PolicyExpr(), out, None)
+                filter_stream(stream, fmt, PolicyExpr(), out, None, stats)
+    _warn_clamped(stats)
     return 0
 
 

@@ -13,9 +13,13 @@ per-line Python work is left to the consumer of each list. The line format
 lives in two helpers that every consumer calls: _plain_records (the
 skip-empty rule) and _withcount_records (that rule and the count grammar,
 _split_withcount). read_records makes PasswordRecords from them (synth
-corrupt and the library API); histogram.scan_stream counts attribute shapes
-(hist, infer, plot) and policy.filter_stream writes back each line's bytes
-(filter, synth pad), both with attributes.byte_values and no records.
+corrupt and the library API). The other two consumers make no records:
+histogram.scan_stream counts attribute shapes (hist, infer, plot),
+classifying a batch of lines at a time with attributes.batch_values, and
+policy.filter_stream writes back each line's bytes (filter, synth pad),
+classifying one password at a time with attributes.byte_values. Both
+classifiers read bytes that are UTF-8 as UTF-8 and any others as Latin-1,
+as _decode does.
 
 Dumps are dirty by nature. A single trailing CR is dropped to tolerate CRLF
 files, and pathological lines are clamped at 64 KiB (counted in

@@ -7,9 +7,11 @@ comma-separated list of ``<attribute>>=<int>`` terms, for example
 
 filter_corpus routes PasswordRecords; filter_stream splits a corpus stream
 and writes back the bytes of each line it read. It takes the records from
-corpus._plain_records and corpus._withcount_records and classifies each
-password's bytes with attributes.byte_values; those three decide the line
-format and the decoding.
+corpus._plain_records and corpus._withcount_records and classifies one
+password's bytes at a time with attributes.byte_values (a batch of lines at
+once, as histogram.scan_stream does with attributes.batch_values, was
+measured slower here). Those decide the line format and the decoding:
+bytes that are UTF-8 count one per code point, any others are Latin-1.
 """
 
 from __future__ import annotations

@@ -8,8 +8,10 @@ from pwpolicy.attributes import (
     ATTRIBUTES,
     AttributeId,
     CharClass,
+    batch_values,
     byte_values,
     classify_char,
+    complete_values,
     extract,
     extract_all,
 )
@@ -139,3 +141,38 @@ def test_class_counts_partition_length():
         s = "".join(rng.choice(pool) for _ in range(rng.randrange(0, 30)))
         length, _, lowers, uppers, digits, symbols, _ = extract_all(s)
         assert lowers + uppers + digits + symbols == length == len(s)
+
+
+def _assert_batch_matches_byte_values(lines):
+    batch = list(batch_values(lines))
+    assert batch == [byte_values(line)[:5] for line in lines]
+    assert list(map(complete_values, batch)) == list(map(byte_values, lines))
+
+
+@pytest.mark.parametrize(
+    "lines",
+    [
+        [],
+        [b""],
+        [b"", b"", b""],
+        [b"caf\xe9", b"Caf\xe9 au lait"],  # Latin-1
+        [b"\x80", b"a\x80b"],  # lone continuation byte
+        [b"\xed\xa0\x80", b"x\xed\xa0\x80y"],  # an encoded surrogate is not UTF-8
+        [b"\xc0\xaf", b"ab\xc0\xafcd"],  # overlong
+        ["\U0001f511key".encode("utf-8"), "a\U00010348B\U0001f600".encode("utf-8")],
+        [b"pass\r", b"\r", b"Word\r1"],  # a CR left after clamping
+        [b"", "\u00e9t\u00e9".encode("utf-8"), b"", b"x y", b" x", b"x "],
+    ],
+)
+def test_batch_values_cases(lines):
+    _assert_batch_matches_byte_values(lines)
+
+
+_LINE = st.binary(max_size=48).map(lambda b: b.replace(b"\n", b"")) | st.text(
+    st.characters(blacklist_characters="\n"), max_size=24
+).map(str.encode)
+
+
+@given(st.lists(_LINE, max_size=24))
+def test_batch_values_match_byte_values(lines):
+    _assert_batch_matches_byte_values(lines)

@@ -567,6 +567,60 @@ def test_eval_csv_format(capsys):
     assert lines[1].startswith('basic6,0.0,1000,"length>=6",basic6,true')
 
 
+# --- clamped lines -----------------------------------------------------------
+
+CLAMP_WARNING = "warning: {} longer than 65536 bytes {} clamped\n"
+
+
+def _clamp_commands(path, tmp_path):
+    return {
+        "hist": ["hist", path, "length"],
+        "infer": ["infer", path],
+        "plot": ["plot", path, "length", str(tmp_path / "p.csv")],
+        "filter": ["filter", path, "basic3", "--out", str(tmp_path / "ok.txt")],
+        "synth pad": ["synth", "pad", path, path, "--out", str(tmp_path / "pad.txt")],
+    }
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+@pytest.mark.parametrize("command", ["hist", "infer", "plot", "filter", "synth pad"])
+def test_clamped_line_is_reported(tmp_path, capsys, command, threads):
+    path = tmp_path / "long.txt"
+    path.write_bytes(b"abc\n" + b"x" * 70_000 + b"\nab1\n")
+    argv = _clamp_commands(str(path), tmp_path)[command]
+    code, _, err = run(capsys, *argv, "--threads", threads)
+    assert code == 0
+    # synth pad reads its file twice, as base and as padding.
+    want = ("2 lines", "were") if command == "synth pad" else ("1 line", "was")
+    assert CLAMP_WARNING.format(*want) in err
+    assert err.count("warning") == 1
+
+
+@pytest.mark.parametrize("command", ["hist", "infer"])
+def test_clamped_lines_counted_across_partitions(tmp_path, capsys, command):
+    path = tmp_path / "long.txt"
+    with path.open("wb") as f:
+        for i in range(64):
+            f.write(b"pw%d\n" % i + b"y" * 70_000 + b"\n")
+    assert path.stat().st_size > (1 << 22)  # big enough to partition
+    argv = _clamp_commands(str(path), tmp_path)[command]
+    for threads in ("1", "2"):
+        code, _, err = run(capsys, *argv, "--threads", threads)
+        assert code == 0
+        assert err == CLAMP_WARNING.format("64 lines", "were")
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+@pytest.mark.parametrize("command", ["hist", "infer"])
+def test_clean_corpus_leaves_stderr_empty(tmp_path, capsys, command, threads):
+    path = tmp_path / "clean.txt"
+    path.write_bytes(b"abc\r\n" + b"z" * 65_536 + b"\ncaf\xe9\n\n")
+    argv = _clamp_commands(str(path), tmp_path)[command]
+    code, _, err = run(capsys, *argv, "--threads", threads)
+    assert code == 0
+    assert err == ""
+
+
 # --- threads ---------------------------------------------------------------
 
 

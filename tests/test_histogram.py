@@ -393,6 +393,55 @@ def test_scan_stream_limit_partitions(tmp_path, monkeypatch, kind):
         assert _stats_tuple(stats) == _stats_tuple(ref_stats)
 
 
+def _batched_corpus(seed: int, withcount: bool, empty_lines: bool) -> bytes:
+    """Over 4 MiB of short dirty lines: each 1 MiB chunk holds many batches."""
+    rng = random.Random(seed)
+    bodies = [
+        lambda: b"pw%d" % rng.randrange(10**6),
+        lambda: b"Hunter%d!" % rng.randrange(100),
+        lambda: b"two words %d" % rng.randrange(10),
+        lambda: "caf\u00e9%d".encode("utf-8") % rng.randrange(10),
+        lambda: b"caf\xe9%d" % rng.randrange(10),  # invalid UTF-8: Latin-1
+        lambda: "\u043f\u0430\u0440\u043e\u043b\u044c\U0001f511".encode("utf-8"),
+        lambda: b"",
+    ]
+    out = []
+    size = 0
+    while size < (1 << 22) + 4096:
+        body = rng.choice(bodies)()
+        if rng.random() < 2e-5:
+            body = b"ab1" * 25_000  # clamped at 64 KiB
+        if withcount:
+            body = b"%7d %s" % (rng.randrange(1, 50), body)
+        line = body + (b"\r\n" if rng.random() < 0.05 else b"\n")
+        if empty_lines and rng.random() < 0.02:
+            line = b"\n"
+        out.append(line)
+        size += len(line)
+    out.append(b"1 " + b"z" * 70_000 + b"\r\n")
+    return b"".join(out)
+
+
+@pytest.mark.parametrize("kind", ["plain", "withcount"])
+@pytest.mark.parametrize("skip_empty", [False, True])
+def test_scan_file_batches_equal_records_path(tmp_path, kind, skip_empty):
+    withcount = kind == "withcount"
+    fmt = CorpusFormat(kind, skip_empty=skip_empty)
+    path = tmp_path / "c.txt"
+    # Withcount without skip_empty rejects empty lines, but not empty passwords.
+    path.write_bytes(_batched_corpus(11, withcount, skip_empty or not withcount))
+    assert path.stat().st_size > (1 << 22)  # big enough to partition
+    ref_stats = ReadStats()
+    with path.open("rb") as f:
+        expected = build_histograms(read_records(f, fmt, ref_stats))
+    assert ref_stats.truncated >= 1 and ref_stats.lines > 50 * 2048
+    for threads in (1, 2):
+        stats = ReadStats()
+        got = scan_file(str(path), fmt, ATTRIBUTES, threads, stats)
+        assert _plain_hists(got) == _plain_hists(expected)
+        assert _stats_tuple(stats) == _stats_tuple(ref_stats)
+
+
 @pytest.mark.parametrize(
     "data, line_number",
     [
