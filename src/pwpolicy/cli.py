@@ -17,14 +17,7 @@ from typing import BinaryIO, Sequence, TextIO
 
 from . import __version__
 from .attributes import ATTRIBUTES, AttributeId
-from .corpus import (
-    MAX_LINE_BYTES,
-    CorpusFormat,
-    CorpusFormatError,
-    PasswordRecord,
-    ReadStats,
-    read_records,
-)
+from .corpus import MAX_LINE_BYTES, CorpusFormat, CorpusFormatError, ReadStats
 from .histogram import (
     MultiplierTable,
     build_histograms,
@@ -44,7 +37,7 @@ from .policy import (
     policy_minima,
     render_policy,
 )
-from .synth import CorruptionSpec, GeneratorSpec, corrupt, generate
+from .synth import CorruptionSpec, GeneratorSpec, corrupt_stream, generate
 
 
 class UsageError(Exception):
@@ -96,19 +89,6 @@ def _open_binary_out(path: str | None, stack: contextlib.ExitStack) -> BinaryIO:
         stack.callback(sys.stdout.buffer.flush)
         return sys.stdout.buffer
     return stack.enter_context(open(path, "wb"))
-
-
-def _record_writer(fmt: CorpusFormat, out: TextIO):
-    write = out.write
-    if fmt.kind == "withcount":
-        def sink(rec: PasswordRecord) -> None:
-            write(f"{rec.multiplicity} {rec.text}\n")
-    else:
-        def sink(rec: PasswordRecord) -> None:
-            line = rec.text + "\n"
-            for _ in range(rec.multiplicity):
-                write(line)
-    return sink
 
 
 def _add_corpus_flags(p: argparse.ArgumentParser) -> None:
@@ -294,25 +274,15 @@ def _cmd_plot(args) -> int:
 
 # --- synth -----------------------------------------------------------------
 
-def _out_stream(path: str | None):
-    if path is None or path == "-":
-        return sys.stdout, False
-    return open(path, "w", encoding="utf-8"), True
-
-
 def _cmd_synth_generate(args) -> int:
     expr = parse_policy(args.policy)
     try:
         spec = GeneratorSpec(expr, args.count, args.noise, args.seed)
         records = generate(spec)
-        out, close_out = _out_stream(args.out)
-        try:
-            write = out.write
-            for rec in records:
-                write(rec.text + "\n")
-        finally:
-            if close_out:
-                out.close()
+        with contextlib.ExitStack() as stack:
+            out = _open_binary_out(args.out, stack)
+            # Generated passwords are ASCII.
+            out.writelines((rec.text + "\n").encode("ascii") for rec in records)
     except ValueError as exc:
         raise UsageError(str(exc))
     return 0
@@ -332,7 +302,6 @@ def _cmd_synth_pad(args) -> int:
 
 
 def _cmd_synth_corrupt(args) -> int:
-    fmt = _corpus_format(args)
     try:
         spec = CorruptionSpec(
             tokens=args.tokens,
@@ -341,17 +310,13 @@ def _cmd_synth_corrupt(args) -> int:
         )
     except ValueError as exc:
         raise UsageError(str(exc))
-    with _open_corpus(args.file) as f:
-        stream = corrupt(read_records(f, fmt), spec, args.seed)
-        out, close_out = _out_stream(args.out)
-        try:
-            sink = _record_writer(fmt, out)
-            for rec in stream:
-                sink(rec)
-        finally:
-            if close_out:
-                out.close()
-    print(json.dumps({"added_count": stream.added_count}), file=sys.stderr)
+    stats = ReadStats()
+    with contextlib.ExitStack() as stack:
+        stream = stack.enter_context(_open_corpus(args.file))
+        out = _open_binary_out(args.out, stack)
+        added = corrupt_stream(stream, _corpus_format(args), spec, args.seed, out, stats)
+    _warn_clamped(stats)
+    print(json.dumps({"added_count": added}), file=sys.stderr)
     return 0
 
 

@@ -12,14 +12,16 @@ chunks, and each chunk is split into a list of the lines it completes, so
 per-line Python work is left to the consumer of each list. The line format
 lives in two helpers that every consumer calls: _plain_records (the
 skip-empty rule) and _withcount_records (that rule and the count grammar,
-_split_withcount). read_records makes PasswordRecords from them (synth
-corrupt and the library API). The other two consumers make no records:
-histogram.scan_stream counts attribute shapes (hist, infer, plot),
-classifying a batch of lines at a time with attributes.batch_values, and
+_split_withcount). _record_chunks puts the two behind one loop, yielding
+each chunk's (line, count, password bytes) rows, and three consumers read
+through it: read_records makes PasswordRecords (the library API),
 policy.filter_stream writes back each line's bytes (filter, synth pad),
-classifying one password at a time with attributes.byte_values. Both
-classifiers read bytes that are UTF-8 as UTF-8 and any others as Latin-1,
-as _decode does.
+classifying one password at a time with attributes.byte_values, and
+synth.corrupt_stream writes back each line or its pieces (synth corrupt).
+histogram.scan_stream calls the two helpers itself and makes no rows: it
+counts attribute shapes (hist, infer, plot), classifying a batch of lines
+at a time with attributes.batch_values. Both classifiers read bytes that
+are UTF-8 as UTF-8 and any others as Latin-1, as _decode does.
 
 Dumps are dirty by nature. A single trailing CR is dropped to tolerate CRLF
 files, and pathological lines are clamped at 64 KiB (counted in
@@ -38,7 +40,8 @@ split.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import BinaryIO, Iterator, NamedTuple
+from itertools import repeat
+from typing import BinaryIO, Iterable, Iterator, NamedTuple
 
 #: Hard per-line cap; anything longer is cut here and the rest of the line
 #: is discarded.
@@ -108,19 +111,6 @@ class ReadStats:
         self.truncated += other.truncated
 
 
-def parse_withcount_line(line: str) -> tuple[int, str]:
-    """Split one withcount line into (multiplicity, password).
-
-    Grammar: optional leading spaces, at most MAX_COUNT_DIGITS ASCII decimal
-    digits, exactly one space, then the password, which may itself contain
-    or start with spaces.
-    """
-    raw = line.encode("utf-8", "surrogatepass")
-    count, password = _split_withcount(raw)
-    # The count prefix is ASCII: as many bytes as code points.
-    return count, line[len(raw) - len(password):]
-
-
 def _decode(raw: bytes) -> str:
     # Latin-1 maps every byte, so no line can fail to decode.
     try:
@@ -188,7 +178,12 @@ def _strip_cr(line: bytes) -> bytes:
 
 
 def _split_withcount(raw: bytes, line_number: int | None = None) -> tuple[int, bytes]:
-    """parse_withcount_line on a line's bytes; errors carry ``line_number``."""
+    """Split one withcount line's bytes into (multiplicity, password bytes).
+
+    Grammar: optional leading spaces, at most MAX_COUNT_DIGITS ASCII decimal
+    digits, exactly one space, then the password, which may itself contain
+    or start with spaces. Errors carry ``line_number``.
+    """
     head, sep, password = raw.lstrip(b" ").partition(b" ")
     if not (sep and head.isdigit()):
         got = repr(_decode(raw)) if raw else "empty line"
@@ -233,6 +228,25 @@ def _withcount_records(
     stats.skipped_empty += skipped
 
 
+def _record_chunks(
+    stream: BinaryIO, fmt: CorpusFormat, stats: ReadStats | None, limit: int | None = None
+) -> Iterator[Iterable[tuple[bytes, int, bytes]]]:
+    """The (line, count, password bytes) rows of each chunk's records.
+
+    A plain row is (line, 1, line). Each chunk's rows must be consumed
+    before the next chunk is asked for: its withcount rows are parsed, and
+    its ``stats.records`` counted, as they are read.
+    """
+    if stats is None:
+        stats = ReadStats()
+    for lines in _line_batches(stream, stats, limit):
+        if fmt.kind == "withcount":
+            yield _withcount_records(lines, fmt, stats)
+        else:
+            lines = _plain_records(lines, fmt, stats)
+            yield zip(lines, repeat(1), lines)
+
+
 def read_records(
     stream: BinaryIO,
     fmt: CorpusFormat,
@@ -245,15 +259,9 @@ def read_records(
     records unless fmt.skip_empty). Withcount lines that do not match the
     grammar raise CorpusFormatError carrying the 1-based line number.
     """
-    if stats is None:
-        stats = ReadStats()
-    for lines in _line_batches(stream, stats, limit):
-        if fmt.kind == "withcount":
-            for _, count, password in _withcount_records(lines, fmt, stats):
-                yield PasswordRecord(_decode(password), count)
-        else:
-            for raw in _plain_records(lines, fmt, stats):
-                yield PasswordRecord(_decode(raw))
+    for rows in _record_chunks(stream, fmt, stats, limit):
+        for _, count, password in rows:
+            yield PasswordRecord(_decode(password), count)
 
 
 def partition_offsets(path: str, parts: int) -> list[tuple[int, int]]:

@@ -6,12 +6,13 @@ comma-separated list of ``<attribute>>=<int>`` terms, for example
 ``length>=6,digits>=1``.
 
 filter_corpus routes PasswordRecords; filter_stream splits a corpus stream
-and writes back the bytes of each line it read. It takes the records from
-corpus._plain_records and corpus._withcount_records and classifies one
-password's bytes at a time with attributes.byte_values (a batch of lines at
-once, as histogram.scan_stream does with attributes.batch_values, was
-measured slower here). Those decide the line format and the decoding:
-bytes that are UTF-8 count one per code point, any others are Latin-1.
+and writes back the bytes of each line it read. It reads each chunk's
+records as rows from corpus._record_chunks, the per-chunk reader that
+read_records and synth.corrupt_stream share, and classifies one password's
+bytes at a time with attributes.byte_values (a batch of lines at once, as
+histogram.scan_stream does with attributes.batch_values, was measured
+slower here). Those decide the line format and the decoding: bytes that are
+UTF-8 count one per code point, any others are Latin-1.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from itertools import repeat
 from typing import BinaryIO, Callable, Iterable, Mapping
 
 from .attributes import ATTRIBUTES, AttributeId, byte_values, extract_all
-from .corpus import CorpusFormat, ReadStats, _line_batches, _plain_records, _withcount_records
+from .corpus import CorpusFormat, ReadStats, _record_chunks
 
 _ATTR_INDEX = {attr: i for i, attr in enumerate(ATTRIBUTES)}
 _BASIC_RE = re.compile(r"^basic(\d+)$")
@@ -197,25 +198,17 @@ def filter_stream(
     """Split a binary corpus stream by compliance, writing back its lines.
 
     Every record's line goes to ``out`` (compliant) or ``reject`` with a
-    newline, as the bytes _line_batches yields: clamped, one trailing CR
+    newline, as the bytes corpus._line_batches yields: clamped, one trailing CR
     dropped, a withcount line's count and spacing kept. A None sink
     discards. The summary, ReadStats and any CorpusFormatError are those of
     filter_corpus(read_records(stream, fmt, stats), expr), but no record is
     made: each password is classified straight from its bytes.
     """
-    if stats is None:
-        stats = ReadStats()
     summary = FilterSummary()
     checks = _minimum_checks(expr)
-    withcount = fmt.kind == "withcount"
-    for lines in _line_batches(stream, stats):
-        if withcount:
-            records = _withcount_records(lines, fmt, stats)
-        else:
-            lines = _plain_records(lines, fmt, stats)
-            records = zip(lines, repeat(1), lines)
+    for rows in _record_chunks(stream, fmt, stats):
         kept, dropped = [], []
-        for raw, count, password in records:
+        for raw, count, password in rows:
             values = byte_values(password)
             for idx, minimum in checks:
                 if values[idx] < minimum:

@@ -4,7 +4,8 @@ Real-world validation data for policy inference is hard to come by, so this
 module fabricates it. ``pad`` splices foreign corpora onto a base corpus
 (modeling aggregator dumps that bundle sites with different policies).
 ``corrupt`` re-splits records on separator characters (modeling the classic
-extraction bug where one credential line becomes several fragments).
+extraction bug where one credential line becomes several fragments);
+``corrupt_stream`` re-splits a corpus stream's line bytes (synth corrupt).
 ``generate`` emits a corpus that provably satisfies a ground-truth policy,
 plus a controlled fraction of violating noise records, so recovery can be
 checked against a known answer.
@@ -35,10 +36,10 @@ import random
 import re
 from bisect import bisect_right
 from dataclasses import dataclass
-from typing import Callable, Hashable, Iterable, Iterator, Sequence
+from typing import BinaryIO, Callable, Hashable, Iterable, Iterator, Sequence
 
 from .attributes import AttributeId
-from .corpus import PasswordRecord
+from .corpus import CorpusFormat, PasswordRecord, ReadStats, _record_chunks
 from .policy import PolicyExpr
 
 # Classes are plain ints 0..3 throughout this module: the sampler keys
@@ -178,39 +179,68 @@ class CorruptStream:
 
     added_count is output records minus input records, i.e. the sum of
     (pieces - 1) over every record that was split. It can go negative when
-    keep_empty_pieces is off and a record dissolves into nothing.
+    keep_empty_pieces is off and a record dissolves into nothing. Records
+    are split as UTF-8 bytes; UTF-8 is self-synchronising, so the pieces
+    are exactly those of splitting the text.
     """
 
     def __init__(self, records: Iterable[PasswordRecord], spec: CorruptionSpec, seed: int):
         self._records = records
         self._spec = spec
         self._rng = random.Random(seed)
-        self._splitter = re.compile("[%s]" % re.escape(spec.tokens))
+        tokens = (re.escape(t.encode("utf-8", "surrogatepass")) for t in spec.tokens)
+        self._splitter = re.compile(b"|".join(tokens))
         self.added_count = 0
 
-    def __iter__(self) -> Iterator[PasswordRecord]:
+    def split(self, password: bytes) -> list[bytes] | None:
+        """One password's pieces, or None to keep it whole; one random() if it holds a token."""
         spec = self._spec
-        rng = self._rng
-        split = self._splitter.split
-        has_token = self._splitter.search
+        if self._splitter.search(password) is None or self._rng.random() >= spec.probability:
+            return None
+        pieces = self._splitter.split(password)
+        if not spec.keep_empty_pieces:
+            pieces = [p for p in pieces if p]
+        self.added_count += len(pieces) - 1
+        return pieces
+
+    def __iter__(self) -> Iterator[PasswordRecord]:
+        split = self.split
         for record in self._records:
-            if has_token(record.text) is None:
+            pieces = split(record.text.encode("utf-8", "surrogatepass"))
+            if pieces is None:
                 yield record
                 continue
-            if rng.random() >= spec.probability:
-                yield record
-                continue
-            pieces = split(record.text)
-            if not spec.keep_empty_pieces:
-                pieces = [p for p in pieces if p]
-            self.added_count += len(pieces) - 1
             for piece in pieces:
-                yield PasswordRecord(piece, record.multiplicity)
+                yield PasswordRecord(piece.decode("utf-8", "surrogatepass"), record.multiplicity)
 
 
 def corrupt(records: Iterable[PasswordRecord], spec: CorruptionSpec, seed: int = 0) -> CorruptStream:
     """Split separator-bearing records into fragments, deterministically."""
     return CorruptStream(records, spec, seed)
+
+
+def corrupt_stream(stream: BinaryIO, fmt: CorpusFormat, spec: CorruptionSpec, seed: int,
+                   out: BinaryIO, stats: ReadStats | None = None) -> int:
+    """Corrupt a binary corpus stream's lines into ``out``; returns added_count.
+
+    A line kept whole is written back as read (clamped, one trailing CR
+    dropped); each piece of a split line follows that line's count prefix
+    (nothing for plain input). Tokens match their UTF-8 encoding, so a
+    Latin-1 byte is never one.
+    """
+    splitter = CorruptStream((), spec, seed)
+    split = splitter.split
+    # Writing row by row holds no list of a chunk's output lines.
+    write = out.write
+    for rows in _record_chunks(stream, fmt, stats):
+        for raw, _, password in rows:
+            pieces = split(password)
+            if pieces is None:
+                write(raw + b"\n")
+            else:
+                prefix = raw[:len(raw) - len(password)]
+                out.writelines(prefix + piece + b"\n" for piece in pieces)
+    return splitter.added_count
 
 
 @dataclass(frozen=True)

@@ -106,3 +106,14 @@ def exact_multipliers(freqs: dict) -> dict[int, Fraction]:
     return {
         v: Fraction(cums[v + 1], cums[v]) for v in list(cums)[:-1]
     }
+
+
+# md5 of the bytes `synth generate` writes (one text + "\n" per record),
+# 5,000 compliant records, seed 7. Changing these is changing the generator:
+# say so, and update them on purpose.
+GOLDEN_GENERATE_MD5 = {
+    ("basic8", 0.02): "d42784984a9be664741a3020f9f68087",
+    ("2word12", 0.02): "2ff0165f705588e1dab6cbf1889e9898",
+    ("3class12", 0.02): "aa99e8e7cc304ef620f9261c249e206b",
+    ("", 0.0): "cb71e5aaf5bd8594ca4da417ef501d00",
+}

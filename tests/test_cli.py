@@ -1,3 +1,4 @@
+import hashlib
 import io
 import json
 import os
@@ -447,6 +448,17 @@ def test_synth_generate_to_stdout(capsys):
     assert all(len(line) >= 6 for line in lines)
 
 
+@pytest.mark.parametrize(
+    "policy, noise", sorted(pin for pin in refdata.GOLDEN_GENERATE_MD5 if pin[0])
+)
+def test_synth_generate_stdout_is_pinned(capsysbinary, policy, noise):
+    code = main(["synth", "generate", "--policy", policy, "--count", "5000",
+                 "--noise", str(noise), "--seed", "7"])
+    assert code == 0
+    out = capsysbinary.readouterr().out
+    assert hashlib.md5(out).hexdigest() == refdata.GOLDEN_GENERATE_MD5[(policy, noise)]
+
+
 def test_synth_generate_noise_without_violatable_is_usage_error(capsys):
     code, _, err = run(
         capsys, "synth", "generate", "--policy", "digits>=0", "--count", "5",
@@ -497,6 +509,63 @@ def test_synth_corrupt_drop_empty(write_corpus, capsys):
     # ",x," keeps one piece (net zero), ",," dissolves entirely (net -1).
     assert out.splitlines() == ["x"]
     assert json.loads(err) == {"added_count": -1}
+
+
+@pytest.mark.parametrize("kind", ["plain", "withcount"])
+def test_synth_corrupt_writes_back_the_bytes_it_read(tmp_path, capsysbinary, kind):
+    # Each piece keeps its line's count prefix, padding included.
+    prefix = b"      3 " if kind == "withcount" else b""
+    path = tmp_path / "in.txt"
+    lines = [b"caf\xe9 1\r\n", b"a,b\r\n", b"word\r\r\n", b"\xff\n",
+             b"y " + b"x" * 70_000 + b"\n", b"last pw"]
+    path.write_bytes(b"".join(prefix + line for line in lines))
+    out = tmp_path / "split.txt"
+    code = main(["synth", "corrupt", str(path), "--input-format", kind, "--out", str(out)])
+    assert code == 0
+    err = capsysbinary.readouterr().err.decode()
+    assert err.splitlines() == [CLAMP_WARNING.format("1 line", "was").rstrip("\n"),
+                                '{"added_count": 4}']
+    clamped = b"x" * (corpus.MAX_LINE_BYTES - len(prefix) - 2)
+    want = [b"caf\xe9", b"1", b"a", b"b", b"word\r", b"\xff", b"y", clamped, b"last", b"pw"]
+    assert out.read_bytes() == b"".join(prefix + piece + b"\n" for piece in want)
+    code = main(["synth", "corrupt", str(path), "--input-format", kind])
+    assert code == 0
+    assert capsysbinary.readouterr().out == out.read_bytes()
+
+
+@pytest.mark.parametrize("kind", ["plain", "withcount"])
+def test_synth_corrupt_skip_empty(tmp_path, capsysbinary, kind):
+    prefix = b"  2 " if kind == "withcount" else b""
+    path = tmp_path / "in.txt"
+    # An empty line, and (withcount) an empty password after its count.
+    path.write_bytes(b"\n" + prefix + b"a b\n" + prefix + b"\n")
+    code = main(["synth", "corrupt", str(path), "--input-format", kind, "--skip-empty"])
+    assert code == 0
+    assert capsysbinary.readouterr().out == prefix + b"a\n" + prefix + b"b\n"
+
+
+@pytest.mark.parametrize("kind", ["plain", "withcount"])
+def test_synth_corrupt_probability_zero_is_synth_pad(tmp_path, kind):
+    prefix = b"   12 " if kind == "withcount" else b""
+    path = tmp_path / "in.txt"
+    lines = [b"a b,c\r\n", b"caf\xe9 1\n", "ñu ñ".encode("utf-8") + b"\n", b"x\xff"]
+    path.write_bytes(b"".join(prefix + line for line in lines))
+    empty = tmp_path / "empty.txt"
+    empty.write_bytes(b"")
+    corrupted, padded = tmp_path / "corrupt.txt", tmp_path / "pad.txt"
+    flags = ["--input-format", kind]
+    assert main(["synth", "corrupt", str(path), "--probability", "0",
+                 "--out", str(corrupted), *flags]) == 0
+    assert main(["synth", "pad", str(path), str(empty), "--out", str(padded), *flags]) == 0
+    assert corrupted.read_bytes() == padded.read_bytes()
+
+
+def test_synth_corrupt_tokens_match_their_utf8_encoding(tmp_path, capsysbinary):
+    path = tmp_path / "in.txt"
+    path.write_bytes("aéb\n".encode("utf-8") + b"a\xe9b\n")
+    code = main(["synth", "corrupt", str(path), "--tokens", "é"])
+    assert code == 0
+    assert capsysbinary.readouterr().out == b"a\nb\na\xe9b\n"
 
 
 def test_synth_corrupt_bad_probability_is_usage_error(write_corpus, capsys):
@@ -579,11 +648,14 @@ def _clamp_commands(path, tmp_path):
         "plot": ["plot", path, "length", str(tmp_path / "p.csv")],
         "filter": ["filter", path, "basic3", "--out", str(tmp_path / "ok.txt")],
         "synth pad": ["synth", "pad", path, path, "--out", str(tmp_path / "pad.txt")],
+        "synth corrupt": ["synth", "corrupt", path, "--out", str(tmp_path / "corrupt.txt")],
     }
 
 
 @pytest.mark.parametrize("threads", ["1", "2"])
-@pytest.mark.parametrize("command", ["hist", "infer", "plot", "filter", "synth pad"])
+@pytest.mark.parametrize(
+    "command", ["hist", "infer", "plot", "filter", "synth pad", "synth corrupt"]
+)
 def test_clamped_line_is_reported(tmp_path, capsys, command, threads):
     path = tmp_path / "long.txt"
     path.write_bytes(b"abc\n" + b"x" * 70_000 + b"\nab1\n")

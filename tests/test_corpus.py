@@ -9,7 +9,6 @@ from pwpolicy.corpus import (
     CorpusFormatError,
     PasswordRecord,
     ReadStats,
-    parse_withcount_line,
     partition_offsets,
     read_records,
 )
@@ -73,21 +72,21 @@ def test_withcount_parsing():
     ["hunter2", "12", "x 12", "-3 neg", "1.5 frac", "", "٣ pw", "１２ pw"],
 )
 def test_withcount_malformed(line):
-    with pytest.raises(CorpusFormatError):
-        parse_withcount_line(line)
+    with pytest.raises(CorpusFormatError, match="line 1:"):
+        scan(line.encode() + b"\n", WITHCOUNT)
 
 
 def test_withcount_overlong_count_rejected():
     # Python's int() refuses strings of more than 4,300 digits with a plain
     # ValueError; the grammar rejects long counts before that.
     with pytest.raises(CorpusFormatError, match="more than 18 digits"):
-        parse_withcount_line("1" * 5000 + " pw")
-    assert parse_withcount_line("9" * 18 + " pw") == (10**18 - 1, "pw")
+        scan(b"1" * 5000 + b" pw\n", WITHCOUNT)
+    assert scan(b"9" * 18 + b" pw\n", WITHCOUNT) == [PasswordRecord("pw", 10**18 - 1)]
 
 
 def test_withcount_zero_count_rejected():
     with pytest.raises(CorpusFormatError, match="multiplicity must be >= 1"):
-        parse_withcount_line("0 ghost")
+        scan(b"0 ghost\n", WITHCOUNT)
 
 
 def test_withcount_error_carries_line_number():

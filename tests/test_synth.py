@@ -6,7 +6,9 @@ import re
 from collections import Counter
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import refdata
 import synth_laws
 from pwpolicy.attributes import AttributeId, extract
 from pwpolicy.corpus import PasswordRecord
@@ -124,6 +126,47 @@ def test_corrupt_added_count_matches_piece_arithmetic():
     assert stream.added_count == expected_added == len(out) - len(records)
 
 
+def _corrupt_reference(records, spec, seed):
+    """corrupt() as a text regex over each record's text: (records, added_count)."""
+    rng = random.Random(seed)
+    splitter = re.compile("[%s]" % re.escape(spec.tokens))
+    out, added = [], 0
+    for record in records:
+        if splitter.search(record.text) is None or rng.random() >= spec.probability:
+            out.append(record)
+            continue
+        pieces = splitter.split(record.text)
+        if not spec.keep_empty_pieces:
+            pieces = [p for p in pieces if p]
+        added += len(pieces) - 1
+        out.extend(R(piece, record.multiplicity) for piece in pieces)
+    return out, added
+
+
+# Separators, a two-byte and an astral character, and a lone surrogate, so
+# tokens and texts share multi-byte characters.
+_CORRUPT_CHARS = st.sampled_from(" ,;ab\u00e9\u00c3\U0001f600\ud800") | st.characters()
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    texts=st.lists(
+        st.tuples(st.text(_CORRUPT_CHARS, max_size=12), st.integers(1, 5)), max_size=8
+    ),
+    tokens=st.text(_CORRUPT_CHARS, min_size=1, max_size=3),
+    probability=st.sampled_from([0.0, 0.5, 1.0]) | st.floats(0.0, 1.0),
+    keep_empty=st.booleans(),
+    seed=st.integers(0, 2**32),
+)
+def test_corrupt_matches_text_regex_reference(texts, tokens, probability, keep_empty, seed):
+    records = [R(text, mult) for text, mult in texts]
+    spec = CorruptionSpec(tokens, probability, keep_empty)
+    stream = corrupt(records, spec, seed)
+    want, added = _corrupt_reference(records, spec, seed)
+    assert list(stream) == want
+    assert stream.added_count == added
+
+
 def test_generator_spec_validation():
     expr = parse_policy("basic8")
     with pytest.raises(ValueError, match="compliant_count"):
@@ -229,22 +272,12 @@ def test_generated_text_is_printable_single_line():
             assert r.text.isprintable() or r.text == ""
 
 
-# md5 of the bytes `synth generate` writes (one text + "\n" per record),
-# 5,000 compliant records, seed 7. Changing these is changing the generator:
-# say so, and update them on purpose.
-GOLDEN_GENERATE_MD5 = {
-    ("basic8", 0.02): "d42784984a9be664741a3020f9f68087",
-    ("2word12", 0.02): "2ff0165f705588e1dab6cbf1889e9898",
-    ("3class12", 0.02): "aa99e8e7cc304ef620f9261c249e206b",
-    ("", 0.0): "cb71e5aaf5bd8594ca4da417ef501d00",
-}
-
-
-@pytest.mark.parametrize("policy, noise", sorted(GOLDEN_GENERATE_MD5))
+@pytest.mark.parametrize("policy, noise", sorted(refdata.GOLDEN_GENERATE_MD5))
 def test_generate_output_is_pinned_per_seed(policy, noise):
     expr = parse_policy(policy) if policy else PolicyExpr(())
     data = "".join(r.text + "\n" for r in generate(GeneratorSpec(expr, 5000, noise, 7)))
-    assert hashlib.md5(data.encode("utf-8")).hexdigest() == GOLDEN_GENERATE_MD5[(policy, noise)]
+    want = refdata.GOLDEN_GENERATE_MD5[(policy, noise)]
+    assert hashlib.md5(data.encode("utf-8")).hexdigest() == want
 
 
 # --- laws of the generator ---------------------------------------------------
