@@ -7,7 +7,7 @@ generator produces corpora with known ground truth for validating the
 inference end to end.
 """
 
-from .attributes import ATTRIBUTES, AttributeId, CharClass, extract, extract_all
+from .attributes import ATTRIBUTES, AttributeId, extract_all
 from .corpus import (
     CorpusFormat,
     CorpusFormatError,
@@ -49,7 +49,6 @@ __version__ = "0.1.0"
 __all__ = [
     "ATTRIBUTES",
     "AttributeId",
-    "CharClass",
     "CorpusFormat",
     "CorpusFormatError",
     "CorpusReadError",
@@ -69,7 +68,6 @@ __all__ = [
     "build_histograms",
     "complies",
     "corrupt",
-    "extract",
     "extract_all",
     "filter_corpus",
     "generate",

@@ -26,13 +26,6 @@ from itertools import compress
 from typing import Iterator, Sequence
 
 
-class CharClass(enum.Enum):
-    LOWER = "lower"
-    UPPER = "upper"
-    DIGIT = "digit"
-    SYMBOL = "symbol"
-
-
 class AttributeId(enum.Enum):
     """Identifier for one numeric password attribute.
 
@@ -79,7 +72,8 @@ _FLOORS = {
     AttributeId.CLASSES: 1,
 }
 
-_INDEX = {attr: i for i, attr in enumerate(ATTRIBUTES)}
+# Each attribute's position in ATTRIBUTES and in extract_all's tuple.
+_ATTR_INDEX = {attr: i for i, attr in enumerate(ATTRIBUTES)}
 
 
 def _build_class_table() -> bytes:
@@ -107,20 +101,6 @@ _BATCH_CLASS_TABLE = _CLASS_TABLE[:10] + b"\n" + _CLASS_TABLE[11:]
 _BATCH_RUN_TABLE = _RUN_TABLE[:10] + b"\n" + _RUN_TABLE[11:]
 # Deleting these leaves a batch's bytes above 0x7F and its newlines.
 _ASCII_BUT_NEWLINE = bytes(range(10)) + bytes(range(11, 128))
-
-
-def classify_char(ch: str) -> CharClass:
-    """Classify a single code point into one of the four classes."""
-    if len(ch) != 1:
-        raise ValueError("classify_char expects exactly one character")
-    o = ord(ch)
-    if 97 <= o <= 122:
-        return CharClass.LOWER
-    if 65 <= o <= 90:
-        return CharClass.UPPER
-    if 48 <= o <= 57:
-        return CharClass.DIGIT
-    return CharClass.SYMBOL
 
 
 def byte_values(raw: bytes) -> tuple[int, int, int, int, int, int, int]:
@@ -195,8 +175,3 @@ def extract_all(password: str) -> tuple[int, int, int, int, int, int, int]:
     """
     # "?" is a symbol, as is every non-ASCII code point it stands in for.
     return byte_values(password.encode("ascii", "replace"))
-
-
-def extract(attribute: AttributeId, password: str) -> int:
-    """Value of a single attribute for one password."""
-    return extract_all(password)[_INDEX[attribute]]

@@ -96,6 +96,10 @@ def _add_corpus_flags(p: argparse.ArgumentParser) -> None:
                    help="corpus line format (default plain)")
     p.add_argument("--skip-empty", action="store_true",
                    help="drop empty passwords instead of counting them")
+
+
+def _add_threads_flag(p: argparse.ArgumentParser) -> None:
+    # Only the commands that scan a corpus (scan_file) take it.
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
     p.add_argument("--threads", type=int, default=cpus or 1,
                    help="partitioned ingestion workers for file inputs")
@@ -392,6 +396,7 @@ def build_parser() -> _Parser:
     p.add_argument("file", help="corpus path or - for stdin")
     p.add_argument("attribute", help="attribute token, e.g. length")
     _add_corpus_flags(p)
+    _add_threads_flag(p)
     _add_format_flag(p)
     p.set_defaults(func=_cmd_hist)
 
@@ -402,6 +407,7 @@ def build_parser() -> _Parser:
     p.add_argument("--min-support", type=int, default=10,
                    help="minimum cumulative count behind an outlier")
     _add_corpus_flags(p)
+    _add_threads_flag(p)
     _add_format_flag(p)
     p.set_defaults(func=_cmd_infer)
 
@@ -419,6 +425,7 @@ def build_parser() -> _Parser:
     p.add_argument("out", help="CSV output path; SVG lands next to it")
     p.add_argument("--cutoff", type=float, default=2.0, help="reference line level")
     _add_corpus_flags(p)
+    _add_threads_flag(p)
     p.set_defaults(func=_cmd_plot)
 
     p = sub.add_parser("synth", help="synthetic corpus tools")

@@ -32,7 +32,14 @@ from decimal import ROUND_HALF_UP, Decimal
 from itertools import islice
 from typing import BinaryIO, Iterable, Sequence
 
-from .attributes import ATTRIBUTES, AttributeId, batch_values, complete_values, extract_all
+from .attributes import (
+    _ATTR_INDEX,
+    ATTRIBUTES,
+    AttributeId,
+    batch_values,
+    complete_values,
+    extract_all,
+)
 from .corpus import (
     CorpusFormat,
     PasswordRecord,
@@ -42,9 +49,6 @@ from .corpus import (
     _withcount_records,
     partition_offsets,
 )
-
-_ATTR_INDEX = {attr: i for i, attr in enumerate(ATTRIBUTES)}
-
 
 @dataclass
 class Histogram:

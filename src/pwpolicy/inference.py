@@ -9,13 +9,13 @@ noise-free and the smallest observed value itself is reported (the naive
 rule, usable only because nothing below it occurred at all).
 
 The cutoff defaults to 2: an enforced boundary at least doubles the
-cumulative count, while organic distributions grow far more slowly. It can
-be overridden globally or per attribute.
+cumulative count, while organic distributions grow far more slowly.
+``infer --cutoff`` sets another one for every attribute.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Mapping
 
 from .attributes import ATTRIBUTES, AttributeId
@@ -40,19 +40,12 @@ class InferenceConfig:
 
     cutoff: float = 2.0
     min_support: int = 10
-    attribute_cutoffs: Mapping[AttributeId, float] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
         if self.cutoff <= 1.0:
             raise ValueError("cutoff must be > 1")
-        for attr, c in self.attribute_cutoffs.items():
-            if c <= 1.0:
-                raise ValueError(f"cutoff for {attr.value} must be > 1")
         if self.min_support < 1:
             raise ValueError("min_support must be >= 1")
-
-    def cutoff_for(self, attribute: AttributeId) -> float:
-        return self.attribute_cutoffs.get(attribute, self.cutoff)
 
 
 @dataclass(frozen=True)
@@ -90,7 +83,7 @@ def infer_rule(table: MultiplierTable, config: InferenceConfig) -> InferredRule 
             continue
         if best is None or row.multiplier > best.multiplier:
             best = row
-    if best is not None and best.multiplier >= config.cutoff_for(attribute):
+    if best is not None and best.multiplier >= config.cutoff:
         return InferredRule(
             attribute=attribute,
             minimum=best.value + 1,

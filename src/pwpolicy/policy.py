@@ -19,13 +19,11 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from itertools import repeat
 from typing import BinaryIO, Callable, Iterable, Mapping
 
-from .attributes import ATTRIBUTES, AttributeId, byte_values, extract_all
+from .attributes import _ATTR_INDEX, AttributeId, byte_values, extract_all
 from .corpus import CorpusFormat, ReadStats, _record_chunks
 
-_ATTR_INDEX = {attr: i for i, attr in enumerate(ATTRIBUTES)}
 _BASIC_RE = re.compile(r"^basic(\d+)$")
 _WORD_RE = re.compile(r"^(\d+)word(\d+)$")
 _CLASS_RE = re.compile(r"^(\d+)class(\d+)$")
@@ -207,22 +205,18 @@ def filter_stream(
     summary = FilterSummary()
     checks = _minimum_checks(expr)
     for rows in _record_chunks(stream, fmt, stats):
-        kept, dropped = [], []
         for raw, count, password in rows:
             values = byte_values(password)
             for idx, minimum in checks:
                 if values[idx] < minimum:
                     summary.rejected += count
-                    dropped.append(raw)
+                    if reject is not None:
+                        reject.write(raw + b"\n")
                     break
             else:
                 summary.compliant += count
-                kept.append(raw)
-        # writelines over a map holds no joined copy of the chunk.
-        if out is not None:
-            out.writelines(map(bytes.__add__, kept, repeat(b"\n")))
-        if reject is not None:
-            reject.writelines(map(bytes.__add__, dropped, repeat(b"\n")))
+                if out is not None:
+                    out.write(raw + b"\n")
     return summary
 
 

@@ -225,8 +225,9 @@ def corrupt_stream(stream: BinaryIO, fmt: CorpusFormat, spec: CorruptionSpec, se
 
     A line kept whole is written back as read (clamped, one trailing CR
     dropped); each piece of a split line follows that line's count prefix
-    (nothing for plain input). Tokens match their UTF-8 encoding, so a
-    Latin-1 byte is never one.
+    (nothing for plain input). Tokens match their UTF-8 encoding, so a line
+    that is not UTF-8, which every classifier reads as Latin-1, is kept whole
+    and draws no random().
     """
     splitter = CorruptStream((), spec, seed)
     split = splitter.split
@@ -234,6 +235,12 @@ def corrupt_stream(stream: BinaryIO, fmt: CorpusFormat, spec: CorruptionSpec, se
     write = out.write
     for rows in _record_chunks(stream, fmt, stats):
         for raw, _, password in rows:
+            if not password.isascii():
+                try:
+                    password.decode("utf-8")
+                except UnicodeDecodeError:
+                    write(raw + b"\n")
+                    continue
             pieces = split(password)
             if pieces is None:
                 write(raw + b"\n")
@@ -447,13 +454,8 @@ class _Sampler:
         if n < need:
             n = need
         counts[base] = n - nonbase
-        if runs:
-            letters = counts[_LOWER] + counts[_UPPER]
-            if letters < runs:
-                cls = _LOWER if counts[_LOWER] else (
-                    _UPPER if counts[_UPPER] else _LETTERS_AVAIL[banned][0]
-                )
-                counts[cls] += runs - letters
+        # The structure's letter floors already hold at least runs letters.
+        if runs > 1:
             nonletters = counts[_DIGIT] + counts[_SYMBOL]
             if nonletters < runs - 1:
                 # The structure gives every multi-run password a separator class.

@@ -513,7 +513,8 @@ def test_synth_corrupt_drop_empty(write_corpus, capsys):
 
 @pytest.mark.parametrize("kind", ["plain", "withcount"])
 def test_synth_corrupt_writes_back_the_bytes_it_read(tmp_path, capsysbinary, kind):
-    # Each piece keeps its line's count prefix, padding included.
+    # Each piece keeps its line's count prefix, padding included. A line
+    # that is not UTF-8 (Latin-1 "caf\xe9 1") is never split.
     prefix = b"      3 " if kind == "withcount" else b""
     path = tmp_path / "in.txt"
     lines = [b"caf\xe9 1\r\n", b"a,b\r\n", b"word\r\r\n", b"\xff\n",
@@ -524,9 +525,9 @@ def test_synth_corrupt_writes_back_the_bytes_it_read(tmp_path, capsysbinary, kin
     assert code == 0
     err = capsysbinary.readouterr().err.decode()
     assert err.splitlines() == [CLAMP_WARNING.format("1 line", "was").rstrip("\n"),
-                                '{"added_count": 4}']
+                                '{"added_count": 3}']
     clamped = b"x" * (corpus.MAX_LINE_BYTES - len(prefix) - 2)
-    want = [b"caf\xe9", b"1", b"a", b"b", b"word\r", b"\xff", b"y", clamped, b"last", b"pw"]
+    want = [b"caf\xe9 1", b"a", b"b", b"word\r", b"\xff", b"y", clamped, b"last", b"pw"]
     assert out.read_bytes() == b"".join(prefix + piece + b"\n" for piece in want)
     code = main(["synth", "corrupt", str(path), "--input-format", kind])
     assert code == 0
@@ -562,10 +563,14 @@ def test_synth_corrupt_probability_zero_is_synth_pad(tmp_path, kind):
 
 def test_synth_corrupt_tokens_match_their_utf8_encoding(tmp_path, capsysbinary):
     path = tmp_path / "in.txt"
-    path.write_bytes("aéb\n".encode("utf-8") + b"a\xe9b\n")
+    # The last line holds the UTF-8 bytes of "é" but is not UTF-8, so it
+    # reads as the Latin-1 "xÃ©yÿ", which holds no "é".
+    path.write_bytes("aéb\n".encode("utf-8") + b"a\xe9b\n" + b"x\xc3\xa9y\xff\n")
     code = main(["synth", "corrupt", str(path), "--tokens", "é"])
     assert code == 0
-    assert capsysbinary.readouterr().out == b"a\nb\na\xe9b\n"
+    captured = capsysbinary.readouterr()
+    assert captured.out == b"a\nb\na\xe9b\nx\xc3\xa9y\xff\n"
+    assert json.loads(captured.err) == {"added_count": 1}
 
 
 def test_synth_corrupt_bad_probability_is_usage_error(write_corpus, capsys):
@@ -652,15 +657,20 @@ def _clamp_commands(path, tmp_path):
     }
 
 
+SCAN_COMMANDS = ("hist", "infer", "plot")
+COPY_COMMANDS = ("filter", "synth pad", "synth corrupt")
+
+
 @pytest.mark.parametrize("threads", ["1", "2"])
-@pytest.mark.parametrize(
-    "command", ["hist", "infer", "plot", "filter", "synth pad", "synth corrupt"]
-)
+@pytest.mark.parametrize("command", SCAN_COMMANDS + COPY_COMMANDS)
 def test_clamped_line_is_reported(tmp_path, capsys, command, threads):
     path = tmp_path / "long.txt"
     path.write_bytes(b"abc\n" + b"x" * 70_000 + b"\nab1\n")
     argv = _clamp_commands(str(path), tmp_path)[command]
-    code, _, err = run(capsys, *argv, "--threads", threads)
+    # The copy commands take no --threads: both of their cases run alike.
+    if command in SCAN_COMMANDS:
+        argv += ["--threads", threads]
+    code, _, err = run(capsys, *argv)
     assert code == 0
     # synth pad reads its file twice, as base and as padding.
     want = ("2 lines", "were") if command == "synth pad" else ("1 line", "was")
@@ -694,6 +704,17 @@ def test_clean_corpus_leaves_stderr_empty(tmp_path, capsys, command, threads):
 
 
 # --- threads ---------------------------------------------------------------
+
+
+@pytest.mark.parametrize("command", COPY_COMMANDS)
+def test_copy_commands_reject_threads(tmp_path, capsys, command):
+    path = tmp_path / "in.txt"
+    path.write_bytes(b"abc\n")
+    argv = _clamp_commands(str(path), tmp_path)[command]
+    code, out, err = run(capsys, *argv, "--threads", "2")
+    assert code == 1
+    assert out == ""
+    assert err == "error: unrecognized arguments: --threads 2\n"
 
 
 def test_threads_do_not_change_results(tmp_path, capsys):

@@ -1,3 +1,4 @@
+from dataclasses import fields
 from fractions import Fraction
 
 import pytest
@@ -104,11 +105,11 @@ def test_no_rule_when_v0_at_floor_and_flat():
     assert infer_rule(table_of(AttributeId.LENGTH, counts), CFG) is None
 
 
-def test_cutoff_override_per_attribute():
+def test_lower_cutoff_admits_smaller_spike():
     counts = {0: 40, 1: 30}  # multiplier 1.75
     table = table_of(AttributeId.DIGITS, counts)
     assert infer_rule(table, CFG) is None
-    eager = InferenceConfig(attribute_cutoffs={AttributeId.DIGITS: 1.5})
+    eager = InferenceConfig(cutoff=1.5)
     rule = infer_rule(table, eager)
     assert rule.minimum == 1
     assert rule.confidence == 1.75
@@ -119,9 +120,7 @@ def test_config_validation():
         InferenceConfig(cutoff=1.0)
     with pytest.raises(ValueError, match="min_support"):
         InferenceConfig(min_support=0)
-    with pytest.raises(ValueError, match="digits"):
-        InferenceConfig(attribute_cutoffs={AttributeId.DIGITS: 0.5})
-    assert InferenceConfig(cutoff=3.0).cutoff_for(AttributeId.LENGTH) == 3.0
+    assert [f.name for f in fields(InferenceConfig)] == ["cutoff", "min_support"]
 
 
 def test_implied_minimum_cases():

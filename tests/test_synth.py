@@ -10,13 +10,15 @@ from hypothesis import given, settings, strategies as st
 
 import refdata
 import synth_laws
-from pwpolicy.attributes import AttributeId, extract
+from pwpolicy.attributes import extract_all
 from pwpolicy.corpus import PasswordRecord
 from pwpolicy.histogram import build_histograms
 from pwpolicy.policy import PolicyExpr, complies, parse_policy
 from pwpolicy.synth import (
     _POOLS,
+    _LOWER,
     _TAIL_TABLES,
+    _UPPER,
     CorruptionSpec,
     GeneratorSpec,
     _CharBuffer,
@@ -257,9 +259,10 @@ def test_violators_cover_every_constraint():
             continue
         if len(r.text) < 10:
             violated["length"] += 1
-        if extract(AttributeId.DIGITS, r.text) < 2:
+        _, words, _, _, digits, _, _ = extract_all(r.text)
+        if digits < 2:
             violated["digits"] += 1
-        if extract(AttributeId.WORDS, r.text) < 2:
+        if words < 2:
             violated["words"] += 1
     assert all(v > 0 for v in violated.values())
 
@@ -461,13 +464,17 @@ def _sampler_tables(policy):
 
 
 def test_compiled_tables_are_cumulative_laws():
-    tables = [table for policy in NAMED_POLICIES for table in _sampler_tables(policy).values()]
-    tables += _TAIL_TABLES
-    for cum, rows in tables:
+    structures = [table for policy in NAMED_POLICIES for table in _sampler_tables(policy).values()]
+    for cum, rows in structures + list(_TAIL_TABLES):
         assert len(cum) == len(rows) == len(set(rows))
         assert cum[-1] == 1.0
         assert all(a <= b for a, b in zip(cum, cum[1:]))
         assert cum[0] > 0.0
+    # Every structure's letter floors hold its letter runs, so _build never
+    # adds letters to reach them.
+    for _, rows in structures:
+        for floors, _, _, runs in rows:
+            assert floors[_LOWER] + floors[_UPPER] >= runs
 
 
 @pytest.mark.parametrize("policy", NAMED_POLICIES)
