@@ -11,12 +11,12 @@ non-alphanumeric code points, including accented letters and whitespace,
 are symbols and break letter runs, so text is classified as its ASCII
 encoding with every other code point replaced by "?".
 
-Two functions classify bytes, with one decoding rule: bytes that decode as
-UTF-8 count one per code point, and any other bytes are Latin-1, one code
-point per byte. byte_values classifies one password (extract_all,
-build_histograms, policy.filter_stream). batch_values classifies a batch of
-corpus lines with whole-batch bytes operations (histogram.scan_stream), and
-complete_values derives symbols and classes from its five counts.
+batch_values classifies a batch of corpus lines with whole-batch bytes
+operations, and is the only code that decides how corpus bytes decode:
+bytes that are UTF-8 count one per code point, and any other bytes are
+Latin-1, one code point per byte. complete_values derives symbols and
+classes from its five counts. extract_all classifies one text, encoded as
+ASCII with every other code point replaced by "?".
 """
 
 from __future__ import annotations
@@ -103,39 +103,16 @@ _BATCH_RUN_TABLE = _RUN_TABLE[:10] + b"\n" + _RUN_TABLE[11:]
 _ASCII_BUT_NEWLINE = bytes(range(10)) + bytes(range(11, 128))
 
 
-def byte_values(raw: bytes) -> tuple[int, int, int, int, int, int, int]:
-    """extract_all() of a corpus line's bytes, decoded as corpus._decode does.
-
-    A line that is not UTF-8 is Latin-1, one code point per byte, and every
-    byte above 0x7F is a symbol in _CLASS_TABLE, so it needs no decoding.
-    """
-    if not raw.isascii():
-        try:
-            raw = raw.decode("utf-8").encode("ascii", "replace")
-        except UnicodeDecodeError:
-            pass
-    length = len(raw)
-    marks = raw.translate(_CLASS_TABLE)
-    lowers = marks.count(108)  # l
-    uppers = marks.count(117)  # u
-    digits = marks.count(100)  # d
-    symbols = length - lowers - uppers - digits
-    # A letter run starts at the first byte or after a non-letter.
-    runs = marks.translate(_RUN_TABLE)
-    words = runs.count(b" x") + runs.startswith(b"x")
-    classes = (lowers > 0) + (uppers > 0) + (digits > 0) + (symbols > 0)
-    return (length, words, lowers, uppers, digits, symbols, classes)
-
-
 def batch_values(lines: Sequence[bytes]) -> Iterator[tuple[int, int, int, int, int]]:
-    """byte_values(line)[:5] of each line in a batch of newline-free lines.
+    """The first five attribute values of each newline-free line in a batch.
 
-    Each column comes from a few bytes operations on the whole batch, not
-    from one call per line; complete_values adds symbols and classes. A
-    non-ASCII line that is UTF-8 counts one per code point: byte_values
-    classifies it as its ASCII encoding with each other code point made
-    "?", and every byte of such a code point is already a symbol in
-    _CLASS_TABLE, so only its continuation bytes must not count.
+    This is the one place that decides how corpus bytes decode: a line that
+    is UTF-8 has the values of its text, and any other line is Latin-1, one
+    code point per byte. Each column comes from a few bytes operations on
+    the whole batch, not from one call per line; complete_values adds
+    symbols and classes. Every byte above 0x7F is a symbol in _CLASS_TABLE,
+    so a Latin-1 line needs no decoding, and a UTF-8 line only needs its
+    length recounted in code points.
     """
     joined = b"\n".join(lines)
     lengths = list(map(len, lines))
@@ -174,4 +151,10 @@ def extract_all(password: str) -> tuple[int, int, int, int, int, int, int]:
     Order: (length, words, lowers, uppers, digits, symbols, classes).
     """
     # "?" is a symbol, as is every non-ASCII code point it stands in for.
-    return byte_values(password.encode("ascii", "replace"))
+    raw = password.encode("ascii", "replace")
+    marks = raw.translate(_CLASS_TABLE)
+    # A letter run starts at the first byte or after a non-letter.
+    runs = marks.translate(_RUN_TABLE)
+    words = runs.count(b" x") + runs.startswith(b"x")
+    lowers, uppers, digits = marks.count(108), marks.count(117), marks.count(100)  # l, u, d
+    return complete_values((len(raw), words, lowers, uppers, digits))

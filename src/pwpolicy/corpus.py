@@ -7,21 +7,20 @@ uniq -c`` post-processing of public dumps). Both are read in a single
 bounded-memory pass; files of tens of millions of lines must stream
 through without ever being held in memory.
 
-Every reader shares one loop, _line_batches: the file is read in 1 MiB
-chunks, and each chunk is split into a list of the lines it completes, so
-per-line Python work is left to the consumer of each list. The line format
-lives in two helpers that every consumer calls: _plain_records (the
-skip-empty rule) and _withcount_records (that rule and the count grammar,
-_split_withcount). _record_chunks puts the two behind one loop, yielding
-each chunk's (line, count, password bytes) rows, and three consumers read
-through it: read_records makes PasswordRecords (the library API),
-policy.filter_stream writes back each line's bytes (filter, synth pad),
-classifying one password at a time with attributes.byte_values, and
-synth.corrupt_stream writes back each line or its pieces (synth corrupt).
-histogram.scan_stream calls the two helpers itself and makes no rows: it
-counts attribute shapes (hist, infer, plot), classifying a batch of lines
-at a time with attributes.batch_values. Both classifiers read bytes that
-are UTF-8 as UTF-8 and any others as Latin-1, as _decode does.
+Every consumer reads one batched, columnar record stream, _record_batches.
+Its chunk splitter, _line_batches, reads the file in 1 MiB chunks and splits
+each into a list of the lines it completes. _record_batches cuts each list
+into batches of _BATCH_LINES lines and applies the line format to each: the
+skip-empty rule, and for withcount the count grammar (_withcount_records,
+_split_withcount). It is the one place that tells the formats apart, and it
+yields each batch's lines, counts and password bytes as three columns. Its
+consumers only read columns: read_records decodes passwords into
+PasswordRecords (the library API), histogram.scan_stream counts attribute
+shapes (hist, infer, plot), policy.filter_stream writes back each line's
+bytes (filter, synth pad) and synth.corrupt_stream writes back each line or
+its pieces (synth corrupt). scan_stream and filter_stream classify a batch
+at a time with attributes.batch_values, which reads bytes that are UTF-8 as
+UTF-8 and any others as Latin-1, as _decode does.
 
 Dumps are dirty by nature. A single trailing CR is dropped to tolerate CRLF
 files, and pathological lines are clamped at 64 KiB (counted in
@@ -40,8 +39,7 @@ split.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import repeat
-from typing import BinaryIO, Iterable, Iterator, NamedTuple
+from typing import BinaryIO, Iterator, NamedTuple
 
 #: Hard per-line cap; anything longer is cut here and the rest of the line
 #: is discarded.
@@ -51,6 +49,11 @@ MAX_LINE_BYTES = 64 * 1024
 MAX_COUNT_DIGITS = 18
 
 _CHUNK_BYTES = 1 << 20
+
+# Lines per batch of records. A whole 1 MiB chunk (~100k lines) at once
+# holds all its column lists together, which cost 8 MiB of peak RSS;
+# batches of this size cost no speed.
+_BATCH_LINES = 2048
 
 
 class PasswordRecord(NamedTuple):
@@ -196,62 +199,59 @@ def _split_withcount(raw: bytes, line_number: int | None = None) -> tuple[int, b
     return count, password
 
 
-def _plain_records(lines: list[bytes], fmt: CorpusFormat, stats: ReadStats) -> list[bytes]:
-    """One plain chunk's record lines: all, less the empty ones fmt.skip_empty drops."""
-    if fmt.skip_empty and b"" in lines:
-        kept = list(filter(None, lines))
-        stats.skipped_empty += len(lines) - len(kept)
-        lines = kept
-    stats.records += len(lines)
-    return lines
-
-
 def _withcount_records(
-    lines: list[bytes], fmt: CorpusFormat, stats: ReadStats
-) -> Iterator[tuple[bytes, int, bytes]]:
-    """(line, count, password bytes) of each record in one withcount chunk.
+    lines: list[bytes], fmt: CorpusFormat, stats: ReadStats, first_line_number: int
+) -> tuple[list[bytes], list[int], list[bytes]]:
+    """The (lines, counts, passwords) columns of one batch's withcount records.
 
     fmt.skip_empty drops an empty line or password; otherwise an empty line
-    is a format error. ``stats.records`` is counted when the chunk is done.
+    is a format error. The batch's first line is ``first_line_number``.
     """
     skip_empty = fmt.skip_empty
-    records = skipped = 0
-    for line_number, raw in enumerate(lines, stats.lines - len(lines) + 1):
+    kept: list[bytes] = []
+    counts: list[int] = []
+    passwords: list[bytes] = []
+    for line_number, raw in enumerate(lines, first_line_number):
         if raw or not skip_empty:
             count, password = _split_withcount(raw, line_number)
             if password or not skip_empty:
-                records += 1
-                yield raw, count, password
-                continue
-        skipped += 1
-    stats.records += records
-    stats.skipped_empty += skipped
+                kept.append(raw)
+                counts.append(count)
+                passwords.append(password)
+    stats.records += len(kept)
+    stats.skipped_empty += len(lines) - len(kept)
+    return kept, counts, passwords
 
 
-def _record_chunks(
+def _record_batches(
     stream: BinaryIO, fmt: CorpusFormat, stats: ReadStats | None, limit: int | None = None
-) -> Iterator[Iterable[tuple[bytes, int, bytes]]]:
-    """The (line, count, password bytes) rows of each chunk's records.
+) -> Iterator[tuple[list[bytes], list[int] | None, list[bytes]]]:
+    """The (lines, counts, password bytes) columns of each batch of records.
 
-    A plain row is (line, 1, line). Each chunk's rows must be consumed
-    before the next chunk is asked for: its withcount rows are parsed, and
-    its ``stats.records`` counted, as they are read.
+    A batch holds the records of at most _BATCH_LINES lines of one chunk. A
+    plain batch has no counts (each record occurs once), and its passwords
+    are its lines. ``stats.records`` counts a batch before it is yielded.
     """
     if stats is None:
         stats = ReadStats()
-    for lines in _line_batches(stream, stats, limit):
-        if fmt.kind == "withcount":
-            yield _withcount_records(lines, fmt, stats)
-        else:
-            lines = _plain_records(lines, fmt, stats)
-            yield zip(lines, repeat(1), lines)
+    withcount = fmt.kind == "withcount"
+    for chunk in _line_batches(stream, stats, limit):
+        first_line_number = stats.lines - len(chunk) + 1
+        for i in range(0, len(chunk), _BATCH_LINES):
+            lines = chunk[i:i + _BATCH_LINES]
+            if withcount:
+                yield _withcount_records(lines, fmt, stats, first_line_number + i)
+                continue
+            if fmt.skip_empty and b"" in lines:
+                kept = list(filter(None, lines))
+                stats.skipped_empty += len(lines) - len(kept)
+                lines = kept
+            stats.records += len(lines)
+            yield lines, None, lines
 
 
 def read_records(
-    stream: BinaryIO,
-    fmt: CorpusFormat,
-    stats: ReadStats | None = None,
-    limit: int | None = None,
+    stream: BinaryIO, fmt: CorpusFormat, stats: ReadStats | None = None
 ) -> Iterator[PasswordRecord]:
     """Stream PasswordRecords from a binary stream, one line at a time.
 
@@ -259,9 +259,12 @@ def read_records(
     records unless fmt.skip_empty). Withcount lines that do not match the
     grammar raise CorpusFormatError carrying the 1-based line number.
     """
-    for rows in _record_chunks(stream, fmt, stats, limit):
-        for _, count, password in rows:
-            yield PasswordRecord(_decode(password), count)
+    for _, counts, passwords in _record_batches(stream, fmt, stats):
+        texts = map(_decode, passwords)
+        if counts is None:
+            yield from map(PasswordRecord, texts)
+        else:
+            yield from map(PasswordRecord, texts, counts)
 
 
 def partition_offsets(path: str, parts: int) -> list[tuple[int, int]]:

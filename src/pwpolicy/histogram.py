@@ -13,14 +13,14 @@ scans exact: building per-partition histograms and merging them yields
 bit-identical tables, and the same ReadStats, no matter how (or whether)
 the input was split.
 
-build_histograms counts records, each classified by
-attributes.extract_all. scan_stream counts the passwords that
-corpus._plain_records and corpus._withcount_records yield, straight from
-their bytes, in batches of _BATCH_LINES classified together by
-attributes.batch_values. Those decide the line format and the decoding
-(bytes that are UTF-8 count one per code point, others are Latin-1); this
-module decides neither. scan_file runs scan_stream over a file or, with
-threads > 1, over line-aligned partitions in worker processes.
+One loop, _count_shapes, does all the counting: it classifies batches of
+password bytes with attributes.batch_values and counts whole attribute
+shapes before spilling them into the histograms. scan_stream feeds it the
+batches of corpus._record_batches, which decides the line format and
+yields the bytes as read; batch_values decides how they decode. This module
+decides neither. build_histograms feeds it batches of PasswordRecords,
+whose texts it encodes as ASCII. scan_file runs scan_stream over a file or,
+with threads > 1, over line-aligned partitions in worker processes.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ from collections import Counter
 from dataclasses import dataclass
 from decimal import ROUND_HALF_UP, Decimal
 from itertools import islice
-from typing import BinaryIO, Iterable, Sequence
+from typing import BinaryIO, Iterable, Iterator, Sequence
 
 from .attributes import (
     _ATTR_INDEX,
@@ -38,15 +38,13 @@ from .attributes import (
     AttributeId,
     batch_values,
     complete_values,
-    extract_all,
 )
 from .corpus import (
+    _BATCH_LINES,
     CorpusFormat,
     PasswordRecord,
     ReadStats,
-    _line_batches,
-    _plain_records,
-    _withcount_records,
+    _record_batches,
     partition_offsets,
 )
 
@@ -91,17 +89,12 @@ class MultiplierTable:
     total: int
 
 
-# Safety valve for the shape-tuple accumulators below: corpora normally have
-# a few thousand distinct attribute shapes, but nothing stops a pathological
-# input from having one per record, so spill to the per-attribute dicts
-# before the tuple dict can grow past a few tens of megabytes (scan_stream
-# checks once per chunk, so it may overshoot by one chunk's lines).
+# Safety valve for the shape accumulator below: corpora normally have a few
+# thousand distinct attribute shapes, but nothing stops a pathological input
+# from having one per record, so spill to the per-attribute dicts before the
+# shape Counter can grow past a few tens of megabytes (_count_shapes checks
+# once per batch, so it may overshoot by one batch's records).
 _SHAPE_FLUSH = 300_000
-
-# Lines per attributes.batch_values call. A whole 1 MiB chunk (~100k lines)
-# at once holds all its column lists together, which cost 8 MiB of peak
-# RSS; batches of this size cost no speed.
-_BATCH_LINES = 2048
 
 
 def build_histograms(
@@ -109,20 +102,25 @@ def build_histograms(
     attributes: Sequence[AttributeId] = ATTRIBUTES,
 ) -> dict[AttributeId, Histogram]:
     """Single streaming pass over records, one histogram per attribute."""
-    plan = [(attr, _ATTR_INDEX[attr], {}) for attr in attributes]
-    total = 0
-    shapes: dict[tuple, int] = {}
-    shape_get = shapes.get
-    # Hot loop: runs once per record over corpora of tens of millions.
-    # Counting whole attribute tuples first is ~4x cheaper per record than
-    # seven separate dict updates because shapes repeat heavily.
-    for text, mult in records:
-        values = extract_all(text)
-        total += mult
-        shapes[values] = shape_get(values, 0) + mult
-        if len(shapes) >= _SHAPE_FLUSH:
-            _flush_shapes(shapes, plan)
-    return _histograms(shapes, plan, total)
+    return _count_shapes(_text_batches(records), attributes)
+
+
+def _text_batches(
+    records: Iterable[PasswordRecord],
+) -> Iterator[tuple[tuple[str, ...], tuple[int, ...], list[bytes]]]:
+    """The (texts, counts, password bytes) columns of each _BATCH_LINES records.
+
+    Each text becomes its ASCII encoding with every other code point, and
+    any "\n", replaced by "?". All of these are symbols and break letter
+    runs, so batch_values gives each text's extract_all values.
+    """
+    records = iter(records)
+    while batch := list(islice(records, _BATCH_LINES)):
+        texts, counts = zip(*batch)
+        joined = "\n".join(texts)
+        if joined.count("\n") >= len(texts):  # a text holds "\n"
+            joined = "\n".join(text.replace("\n", "?") for text in texts)
+        yield texts, counts, joined.encode("ascii", "replace").split(b"\n")
 
 
 def scan_stream(
@@ -135,43 +133,46 @@ def scan_stream(
     """Histograms of a binary corpus stream, read in one pass.
 
     Gives the same histograms and ReadStats as
-    build_histograms(read_records(stream, fmt, stats, limit), attributes),
-    and raises the same CorpusFormatError, without making a record per line.
+    build_histograms(read_records(stream, fmt, stats), attributes), and
+    raises the same CorpusFormatError, without making a record per line.
+    Reads at most ``limit`` bytes when given (a partition scan).
     """
-    if stats is None:
-        stats = ReadStats()
+    return _count_shapes(_record_batches(stream, fmt, stats, limit), attributes)
+
+
+def _count_shapes(
+    batches: Iterable[tuple[Sequence, Sequence[int] | None, Sequence[bytes]]],
+    attributes: Sequence[AttributeId],
+) -> dict[AttributeId, Histogram]:
+    """Histograms of (lines, counts, password bytes) batches.
+
+    A batch without counts holds each password once. Shapes repeat
+    heavily, so whole 5-tuples of batch_values are counted first, and
+    spilled into one count per attribute value only at the end or when
+    _SHAPE_FLUSH distinct shapes have piled up.
+    """
     plan = [(attr, _ATTR_INDEX[attr], {}) for attr in attributes]
     total = 0
-    # Counts batch_values' 5-tuples; _completed makes them seven values.
     shapes: Counter = Counter()
-    withcount = fmt.kind == "withcount"
-    for lines in _line_batches(stream, stats, limit):
-        if withcount:
-            rows = _withcount_records(lines, fmt, stats)
-            while batch := list(islice(rows, _BATCH_LINES)):
-                _, counts, passwords = zip(*batch)
-                total += sum(counts)
-                for values, count in zip(batch_values(passwords), counts):
-                    shapes[values] += count
+    for _, counts, passwords in batches:
+        if counts is None:
+            total += len(passwords)
+            # Counter.update counts in C.
+            shapes.update(batch_values(passwords))
         else:
-            lines = _plain_records(lines, fmt, stats)
-            total += len(lines)
-            for i in range(0, len(lines), _BATCH_LINES):
-                # Counter.update counts in C.
-                shapes.update(batch_values(lines[i:i + _BATCH_LINES]))
+            total += sum(counts)
+            for values, count in zip(batch_values(passwords), counts):
+                shapes[values] += count
         if len(shapes) >= _SHAPE_FLUSH:
-            _flush_shapes(_completed(shapes), plan)
-            shapes.clear()
-    return _histograms(_completed(shapes), plan, total)
+            _flush_shapes(shapes, plan)
+    _flush_shapes(shapes, plan)
+    return {attr: Histogram(attr, counts, total) for attr, _, counts in plan}
 
 
-def _completed(shapes: Counter) -> dict:
-    return {complete_values(values): mult for values, mult in shapes.items()}
-
-
-def _flush_shapes(shapes: dict, plan: list) -> None:
+def _flush_shapes(shapes: Counter, plan: list) -> None:
     """Spill shape counts into the per-attribute counts and empty shapes."""
     for values, mult in shapes.items():
+        values = complete_values(values)
         for _, idx, counts in plan:
             v = values[idx]
             if v in counts:
@@ -179,11 +180,6 @@ def _flush_shapes(shapes: dict, plan: list) -> None:
             else:
                 counts[v] = mult
     shapes.clear()
-
-
-def _histograms(shapes: dict, plan: list, total: int) -> dict[AttributeId, Histogram]:
-    _flush_shapes(shapes, plan)
-    return {attr: Histogram(attr, counts, total) for attr, _, counts in plan}
 
 
 def merge(a: Histogram, b: Histogram) -> Histogram:

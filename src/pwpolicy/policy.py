@@ -6,23 +6,22 @@ comma-separated list of ``<attribute>>=<int>`` terms, for example
 ``length>=6,digits>=1``.
 
 filter_corpus routes PasswordRecords; filter_stream splits a corpus stream
-and writes back the bytes of each line it read. It reads each chunk's
-records as rows from corpus._record_chunks, the per-chunk reader that
-read_records and synth.corrupt_stream share, and classifies one password's
-bytes at a time with attributes.byte_values (a batch of lines at once, as
-histogram.scan_stream does with attributes.batch_values, was measured
-slower here). Those decide the line format and the decoding: bytes that are
-UTF-8 count one per code point, any others are Latin-1.
+and writes back the bytes of each line it read. It reads the batches of
+corpus._record_batches, which decides the line format, and classifies each
+batch's passwords at once with attributes.batch_values, which decides the
+decoding: bytes that are UTF-8 count one per code point, any others are
+Latin-1.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from itertools import repeat
 from typing import BinaryIO, Callable, Iterable, Mapping
 
-from .attributes import _ATTR_INDEX, AttributeId, byte_values, extract_all
-from .corpus import CorpusFormat, ReadStats, _record_chunks
+from .attributes import _ATTR_INDEX, AttributeId, batch_values, complete_values, extract_all
+from .corpus import CorpusFormat, ReadStats, _record_batches
 
 _BASIC_RE = re.compile(r"^basic(\d+)$")
 _WORD_RE = re.compile(r"^(\d+)word(\d+)$")
@@ -204,9 +203,13 @@ def filter_stream(
     """
     summary = FilterSummary()
     checks = _minimum_checks(expr)
-    for rows in _record_chunks(stream, fmt, stats):
-        for raw, count, password in rows:
-            values = byte_values(password)
+    for lines, counts, passwords in _record_batches(stream, fmt, stats):
+        rows = zip(
+            lines,
+            repeat(1) if counts is None else counts,
+            map(complete_values, batch_values(passwords)),
+        )
+        for raw, count, values in rows:
             for idx, minimum in checks:
                 if values[idx] < minimum:
                     summary.rejected += count

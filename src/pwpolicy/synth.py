@@ -39,7 +39,7 @@ from dataclasses import dataclass
 from typing import BinaryIO, Callable, Hashable, Iterable, Iterator, Sequence
 
 from .attributes import AttributeId
-from .corpus import CorpusFormat, PasswordRecord, ReadStats, _record_chunks
+from .corpus import CorpusFormat, PasswordRecord, ReadStats, _record_batches
 from .policy import PolicyExpr
 
 # Classes are plain ints 0..3 throughout this module: the sampler keys
@@ -226,15 +226,15 @@ def corrupt_stream(stream: BinaryIO, fmt: CorpusFormat, spec: CorruptionSpec, se
     A line kept whole is written back as read (clamped, one trailing CR
     dropped); each piece of a split line follows that line's count prefix
     (nothing for plain input). Tokens match their UTF-8 encoding, so a line
-    that is not UTF-8, which every classifier reads as Latin-1, is kept whole
-    and draws no random().
+    that is not UTF-8, which attributes.batch_values reads as Latin-1, is
+    kept whole and draws no random().
     """
     splitter = CorruptStream((), spec, seed)
     split = splitter.split
     # Writing row by row holds no list of a chunk's output lines.
     write = out.write
-    for rows in _record_chunks(stream, fmt, stats):
-        for raw, _, password in rows:
+    for lines, _, passwords in _record_batches(stream, fmt, stats):
+        for raw, password in zip(lines, passwords):
             if not password.isascii():
                 try:
                     password.decode("utf-8")

@@ -8,7 +8,6 @@ from pwpolicy.attributes import (
     ATTRIBUTES,
     AttributeId,
     batch_values,
-    byte_values,
     complete_values,
     extract_all,
 )
@@ -119,13 +118,6 @@ def test_ascii_fast_path_matches_reference(password):
     assert extract_all(password) == _reference_counts(password)
 
 
-@given(st.binary(max_size=64) | st.text(max_size=64).map(str.encode))
-def test_byte_values_match_decoded_text(raw):
-    # Arbitrary bytes are mostly not UTF-8, so they take the Latin-1 path,
-    # which classifies the bytes without decoding them.
-    assert byte_values(raw) == extract_all(corpus._decode(raw))
-
-
 def test_class_counts_partition_length():
     rng = random.Random(7)
     pool = "abcXYZ019 !@é中\U0001f600"
@@ -135,10 +127,11 @@ def test_class_counts_partition_length():
         assert lowers + uppers + digits + symbols == length == len(s)
 
 
-def _assert_batch_matches_byte_values(lines):
-    batch = list(batch_values(lines))
-    assert batch == [byte_values(line)[:5] for line in lines]
-    assert list(map(complete_values, batch)) == list(map(byte_values, lines))
+def _assert_batch_matches_reference(lines):
+    # Bytes classify as their decoded text. Arbitrary bytes are mostly not
+    # UTF-8, so they take the Latin-1 path, which does not decode them.
+    got = list(map(complete_values, batch_values(lines)))
+    assert got == [_reference_counts(corpus._decode(line)) for line in lines]
 
 
 @pytest.mark.parametrize(
@@ -157,7 +150,7 @@ def _assert_batch_matches_byte_values(lines):
     ],
 )
 def test_batch_values_cases(lines):
-    _assert_batch_matches_byte_values(lines)
+    _assert_batch_matches_reference(lines)
 
 
 _LINE = st.binary(max_size=48).map(lambda b: b.replace(b"\n", b"")) | st.text(
@@ -166,5 +159,5 @@ _LINE = st.binary(max_size=48).map(lambda b: b.replace(b"\n", b"")) | st.text(
 
 
 @given(st.lists(_LINE, max_size=24))
-def test_batch_values_match_byte_values(lines):
-    _assert_batch_matches_byte_values(lines)
+def test_batch_values_match_reference(lines):
+    _assert_batch_matches_reference(lines)

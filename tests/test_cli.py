@@ -661,13 +661,15 @@ SCAN_COMMANDS = ("hist", "infer", "plot")
 COPY_COMMANDS = ("filter", "synth pad", "synth corrupt")
 
 
-@pytest.mark.parametrize("threads", ["1", "2"])
-@pytest.mark.parametrize("command", SCAN_COMMANDS + COPY_COMMANDS)
+# The copy commands take no --threads: they run once each, on one thread.
+@pytest.mark.parametrize(
+    "command, threads",
+    [(c, t) for c in SCAN_COMMANDS for t in ("1", "2")] + [(c, "1") for c in COPY_COMMANDS],
+)
 def test_clamped_line_is_reported(tmp_path, capsys, command, threads):
     path = tmp_path / "long.txt"
     path.write_bytes(b"abc\n" + b"x" * 70_000 + b"\nab1\n")
     argv = _clamp_commands(str(path), tmp_path)[command]
-    # The copy commands take no --threads: both of their cases run alike.
     if command in SCAN_COMMANDS:
         argv += ["--threads", threads]
     code, _, err = run(capsys, *argv)

@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from pwpolicy import corpus
-from pwpolicy.attributes import ATTRIBUTES, AttributeId
+from pwpolicy.attributes import ATTRIBUTES, AttributeId, extract_all
 from pwpolicy.corpus import (
     CorpusFormat,
     CorpusFormatError,
@@ -64,22 +64,41 @@ def test_build_histograms_empty_input():
         assert hists[attr].total == 0
 
 
+def _histograms_of_extract_all(records):
+    """build_histograms written the obvious way: extract_all per record."""
+    hists = {attr: {} for attr in ATTRIBUTES}
+    for text, mult in records:
+        for attr, v in zip(ATTRIBUTES, extract_all(text)):
+            hists[attr][v] = hists[attr].get(v, 0) + mult
+    return {attr: (counts, sum(mult for _, mult in records)) for attr, counts in hists.items()}
+
+
 def test_build_histograms_many_distinct_shapes():
     # More distinct shapes than the internal spill threshold handles per
     # batch still aggregate correctly (exercised with a tiny monkeypatch).
+    # Over _BATCH_LINES records with mixed multiplicities span several
+    # batches, and a text holding "\n" must not split into two passwords.
     import pwpolicy.histogram as h
 
-    records = [PasswordRecord("a" * (i % 7 + 1) + "1" * (i % 5), 1) for i in range(500)]
-    expected = build_histograms(records)
+    rng = random.Random(5)
+    pool = "ab1 !\n\u00e9\U0001f511"
+    records = [
+        PasswordRecord("a" * (i % 7 + 1) + "1" * (i % 5), 1) for i in range(500)
+    ] + [
+        PasswordRecord("".join(rng.choice(pool) for _ in range(rng.randrange(12))),
+                       rng.choice((1, 1, 2, 7)))
+        for _ in range(5000)
+    ] + [PasswordRecord("two\nlines", 3), PasswordRecord("\n", 1), PasswordRecord("ab\n\n", 1)]
+    assert len(records) > corpus._BATCH_LINES
+    want = _histograms_of_extract_all(records)
+    assert _plain_hists(build_histograms(records)) == want
     old = h._SHAPE_FLUSH
     h._SHAPE_FLUSH = 3
     try:
         spilled = build_histograms(records)
     finally:
         h._SHAPE_FLUSH = old
-    for attr in ATTRIBUTES:
-        assert spilled[attr].counts == expected[attr].counts
-        assert spilled[attr].total == expected[attr].total
+    assert _plain_hists(spilled) == want
 
 
 @pytest.mark.parametrize("kind", ["plain", "withcount"])
@@ -448,15 +467,20 @@ def test_scan_file_batches_equal_records_path(tmp_path, kind, skip_empty):
         (b"1 a\n2 b\noops\n", 3),
         (b"1 a\r\n\n", 2),
         (b"1 a\n" * 3000 + b"0 zero\n", 3001),
+        pytest.param(b"1 a\n" * 7000 + b"oops\n", 7001, id="7000 good lines-7001"),
         ("1 a\n٣ pw\n".encode("utf-8"), 2),
         ("１２ pw\n".encode("utf-8"), 1),
     ],
 )
 def test_scan_stream_withcount_error_line_number(monkeypatch, data, line_number):
-    monkeypatch.setattr(corpus, "_CHUNK_BYTES", 4096)
     fmt = CorpusFormat("withcount")
-    with pytest.raises(CorpusFormatError) as ref_exc:
-        list(read_records(io.BytesIO(data), fmt))
-    with pytest.raises(CorpusFormatError) as exc:
-        scan_stream(io.BytesIO(data), fmt)
-    assert exc.value.line_number == ref_exc.value.line_number == line_number
+    # A chunk of 1 << 14 bytes holds 4096 lines "1 a": line 3001 lies past
+    # the first _BATCH_LINES lines of the first chunk, line 7001 past those
+    # of the second.
+    for chunk in (4096, 1 << 14):
+        monkeypatch.setattr(corpus, "_CHUNK_BYTES", chunk)
+        with pytest.raises(CorpusFormatError) as ref_exc:
+            list(read_records(io.BytesIO(data), fmt))
+        with pytest.raises(CorpusFormatError) as exc:
+            scan_stream(io.BytesIO(data), fmt)
+        assert exc.value.line_number == ref_exc.value.line_number == line_number

@@ -224,12 +224,16 @@ def test_filter_stream_writes_back_line_bytes(monkeypatch, chunk, kind, skip_emp
     ],
 )
 def test_filter_stream_withcount_error_line_number(monkeypatch, bad):
-    monkeypatch.setattr(corpus, "_CHUNK_BYTES", 64)
-    data = b"".join(b"%7d ok%d\n" % (i + 1, i) for i in range(40)) + bad + b"\n5 after\n"
     fmt = CorpusFormat("withcount")
-    with pytest.raises(CorpusFormatError) as want:
-        list(read_records(io.BytesIO(data), fmt))
-    with pytest.raises(CorpusFormatError) as got:
-        filter_stream(io.BytesIO(data), fmt, parse_policy("basic3"), io.BytesIO(), None)
-    assert want.value.line_number == got.value.line_number == 41
-    assert str(got.value) == str(want.value)
+    # Small chunks put the bad line past several chunk boundaries; a chunk
+    # of 1 << 16 bytes holds all 3000 good lines, so it lies past the first
+    # _BATCH_LINES lines of its chunk.
+    for good, chunk in ((40, 64), (3000, 1 << 16)):
+        monkeypatch.setattr(corpus, "_CHUNK_BYTES", chunk)
+        data = b"".join(b"%7d ok%d\n" % (i + 1, i) for i in range(good)) + bad + b"\n5 after\n"
+        with pytest.raises(CorpusFormatError) as want:
+            list(read_records(io.BytesIO(data), fmt))
+        with pytest.raises(CorpusFormatError) as got:
+            filter_stream(io.BytesIO(data), fmt, parse_policy("basic3"), io.BytesIO(), None)
+        assert want.value.line_number == got.value.line_number == good + 1
+        assert str(got.value) == str(want.value)
