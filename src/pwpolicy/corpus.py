@@ -19,8 +19,8 @@ PasswordRecords (the library API), histogram.scan_stream counts attribute
 shapes (hist, infer, plot), policy.filter_stream writes back each line's
 bytes (filter, synth pad) and synth.corrupt_stream writes back each line or
 its pieces (synth corrupt). scan_stream and filter_stream classify a batch
-at a time with attributes.batch_values, which reads bytes that are UTF-8 as
-UTF-8 and any others as Latin-1, as _decode does.
+at a time with attributes.batch_columns, which reads bytes that are UTF-8
+as UTF-8 and any others as Latin-1, as _decode does.
 
 Dumps are dirty by nature. A single trailing CR is dropped to tolerate CRLF
 files, and pathological lines are clamped at 64 KiB (counted in

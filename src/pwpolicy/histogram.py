@@ -14,10 +14,10 @@ bit-identical tables, and the same ReadStats, no matter how (or whether)
 the input was split.
 
 One loop, _count_shapes, does all the counting: it classifies batches of
-password bytes with attributes.batch_values and counts whole attribute
+password bytes with attributes.batch_columns and counts whole attribute
 shapes before spilling them into the histograms. scan_stream feeds it the
 batches of corpus._record_batches, which decides the line format and
-yields the bytes as read; batch_values decides how they decode. This module
+yields the bytes as read; batch_columns decides how they decode. This module
 decides neither. build_histograms feeds it batches of PasswordRecords,
 whose texts it encodes as ASCII. scan_file runs scan_stream over a file or,
 with threads > 1, over line-aligned partitions in worker processes.
@@ -36,7 +36,7 @@ from .attributes import (
     _ATTR_INDEX,
     ATTRIBUTES,
     AttributeId,
-    batch_values,
+    batch_columns,
     complete_values,
 )
 from .corpus import (
@@ -112,7 +112,7 @@ def _text_batches(
 
     Each text becomes its ASCII encoding with every other code point, and
     any "\n", replaced by "?". All of these are symbols and break letter
-    runs, so batch_values gives each text's extract_all values.
+    runs, so batch_columns gives each text's extract_all values.
     """
     records = iter(records)
     while batch := list(islice(records, _BATCH_LINES)):
@@ -147,22 +147,23 @@ def _count_shapes(
     """Histograms of (lines, counts, password bytes) batches.
 
     A batch without counts holds each password once. Shapes repeat
-    heavily, so whole 5-tuples of batch_values are counted first, and
-    spilled into one count per attribute value only at the end or when
-    _SHAPE_FLUSH distinct shapes have piled up.
+    heavily, so whole shapes, the 5-tuples of the first five batch_columns,
+    are counted first, and spilled into one count per attribute value only
+    at the end or when _SHAPE_FLUSH distinct shapes have piled up.
     """
     plan = [(attr, _ATTR_INDEX[attr], {}) for attr in attributes]
     total = 0
     shapes: Counter = Counter()
     for _, counts, passwords in batches:
+        values = zip(*batch_columns(passwords, range(5)))
         if counts is None:
             total += len(passwords)
             # Counter.update counts in C.
-            shapes.update(batch_values(passwords))
+            shapes.update(values)
         else:
             total += sum(counts)
-            for values, count in zip(batch_values(passwords), counts):
-                shapes[values] += count
+            for shape, count in zip(values, counts):
+                shapes[shape] += count
         if len(shapes) >= _SHAPE_FLUSH:
             _flush_shapes(shapes, plan)
     _flush_shapes(shapes, plan)

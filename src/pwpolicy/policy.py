@@ -7,20 +7,23 @@ comma-separated list of ``<attribute>>=<int>`` terms, for example
 
 filter_corpus routes PasswordRecords; filter_stream splits a corpus stream
 and writes back the bytes of each line it read. It reads the batches of
-corpus._record_batches, which decides the line format, and classifies each
-batch's passwords at once with attributes.batch_values, which decides the
-decoding: bytes that are UTF-8 count one per code point, any others are
-Latin-1.
+corpus._record_batches, which decides the line format, and decides and
+writes a whole batch at once: attributes.batch_columns computes only the
+columns the policy constrains, and decides the decoding (bytes that are
+UTF-8 count one per code point, any others are Latin-1). A policy with no
+minimum classifies nothing.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from itertools import repeat
-from typing import BinaryIO, Callable, Iterable, Mapping
+from functools import partial, reduce
+from itertools import compress, repeat
+from operator import and_, ge, not_
+from typing import BinaryIO, Callable, Iterable, Mapping, Sequence
 
-from .attributes import _ATTR_INDEX, AttributeId, batch_values, complete_values, extract_all
+from .attributes import _ATTR_INDEX, AttributeId, batch_columns, extract_all
 from .corpus import CorpusFormat, ReadStats, _record_batches
 
 _BASIC_RE = re.compile(r"^basic(\d+)$")
@@ -199,28 +202,37 @@ def filter_stream(
     dropped, a withcount line's count and spacing kept. A None sink
     discards. The summary, ReadStats and any CorpusFormatError are those of
     filter_corpus(read_records(stream, fmt, stats), expr), but no record is
-    made: each password is classified straight from its bytes.
+    made: each batch's constrained columns come straight from its bytes, and
+    each side of a batch is written with one call.
     """
     summary = FilterSummary()
     checks = _minimum_checks(expr)
+    indices = [idx for idx, _ in checks]
     for lines, counts, passwords in _record_batches(stream, fmt, stats):
-        rows = zip(
-            lines,
-            repeat(1) if counts is None else counts,
-            map(complete_values, batch_values(passwords)),
+        total = len(lines) if counts is None else sum(counts)
+        if not checks:  # every line complies: copy the batch unclassified
+            summary.compliant += total
+            _write_lines(out, lines)
+            continue
+        passes = (
+            map(ge, column, repeat(minimum))
+            for column, (_, minimum) in zip(batch_columns(passwords, indices), checks)
         )
-        for raw, count, values in rows:
-            for idx, minimum in checks:
-                if values[idx] < minimum:
-                    summary.rejected += count
-                    if reject is not None:
-                        reject.write(raw + b"\n")
-                    break
-            else:
-                summary.compliant += count
-                if out is not None:
-                    out.write(raw + b"\n")
+        ok = list(reduce(partial(map, and_), passes))
+        kept = list(compress(lines, ok))
+        compliant = len(kept) if counts is None else sum(compress(counts, ok))
+        summary.compliant += compliant
+        summary.rejected += total - compliant
+        _write_lines(out, kept)
+        if reject is not None:
+            _write_lines(reject, list(compress(lines, map(not_, ok))))
     return summary
+
+
+def _write_lines(sink: BinaryIO | None, lines: Sequence[bytes]) -> None:
+    """Write each line and a newline with one call; nothing for no lines."""
+    if sink is not None and lines:
+        sink.write(b"\n".join(lines) + b"\n")
 
 
 def policy_minima(minima: Mapping[AttributeId, int]) -> PolicyExpr:

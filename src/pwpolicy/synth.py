@@ -226,7 +226,7 @@ def corrupt_stream(stream: BinaryIO, fmt: CorpusFormat, spec: CorruptionSpec, se
     A line kept whole is written back as read (clamped, one trailing CR
     dropped); each piece of a split line follows that line's count prefix
     (nothing for plain input). Tokens match their UTF-8 encoding, so a line
-    that is not UTF-8, which attributes.batch_values reads as Latin-1, is
+    that is not UTF-8, which attributes.batch_columns reads as Latin-1, is
     kept whole and draws no random().
     """
     splitter = CorruptStream((), spec, seed)

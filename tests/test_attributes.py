@@ -7,8 +7,7 @@ from pwpolicy import corpus
 from pwpolicy.attributes import (
     ATTRIBUTES,
     AttributeId,
-    batch_values,
-    complete_values,
+    batch_columns,
     extract_all,
 )
 
@@ -127,11 +126,15 @@ def test_class_counts_partition_length():
         assert lowers + uppers + digits + symbols == length == len(s)
 
 
-def _assert_batch_matches_reference(lines):
+def _reference_columns(lines, wanted=range(len(ATTRIBUTES))):
     # Bytes classify as their decoded text. Arbitrary bytes are mostly not
     # UTF-8, so they take the Latin-1 path, which does not decode them.
-    got = list(map(complete_values, batch_values(lines)))
-    assert got == [_reference_counts(corpus._decode(line)) for line in lines]
+    rows = [_reference_counts(corpus._decode(line)) for line in lines]
+    return [[row[i] for row in rows] for i in wanted]
+
+
+def _assert_batch_matches_reference(lines):
+    assert batch_columns(lines, range(len(ATTRIBUTES))) == _reference_columns(lines)
 
 
 @pytest.mark.parametrize(
@@ -161,3 +164,14 @@ _LINE = st.binary(max_size=48).map(lambda b: b.replace(b"\n", b"")) | st.text(
 @given(st.lists(_LINE, max_size=24))
 def test_batch_values_match_reference(lines):
     _assert_batch_matches_reference(lines)
+
+
+@given(
+    st.lists(_LINE, max_size=24),
+    st.lists(st.sampled_from(range(len(ATTRIBUTES))), unique=True),
+)
+def test_batch_columns_come_in_the_order_asked(lines, wanted):
+    columns = batch_columns(lines, wanted)
+    assert columns == _reference_columns(lines, wanted)
+    # Column values are ints, never the bools that classes is summed from.
+    assert all(type(v) is int for column in columns for v in column)

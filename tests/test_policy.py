@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from pwpolicy import corpus
+from pwpolicy import corpus, policy
 from pwpolicy.attributes import AttributeId
 from pwpolicy.corpus import CorpusFormat, CorpusFormatError, PasswordRecord, ReadStats, read_records
 from pwpolicy.policy import (
@@ -184,6 +184,25 @@ def _expected_split(lines, fmt, expr):
     return b"".join(kept), b"".join(dropped)
 
 
+# One or more policies constraining each attribute, and the empty policy.
+STREAM_POLICIES = [
+    parse_policy("length>=6,digits>=1"),
+    parse_policy("words>=2"),
+    parse_policy("symbols>=1,uppers>=1"),
+    parse_policy("3class8"),
+    parse_policy("lowers>=2,classes>=2"),
+    PolicyExpr(),
+]
+
+
+def _dirty_data(chunk, kind, skip_empty, final_newline):
+    lines = _dirty_lines(chunk, kind == "withcount", skip_empty, 300)
+    data = b"".join(lines)
+    if not final_newline:
+        data = data[:-1]
+    return lines, data
+
+
 @pytest.mark.parametrize("chunk", [97, 4096, 1 << 20])
 @pytest.mark.parametrize("kind", ["plain", "withcount"])
 @pytest.mark.parametrize("skip_empty", [False, True])
@@ -192,21 +211,59 @@ def test_filter_stream_writes_back_line_bytes(monkeypatch, chunk, kind, skip_emp
     monkeypatch.setattr(corpus, "_CHUNK_BYTES", chunk)
     monkeypatch.setattr(corpus, "MAX_LINE_BYTES", 300)
     fmt = CorpusFormat(kind, skip_empty)
-    expr = parse_policy("length>=6,digits>=1")
-    lines = _dirty_lines(chunk, kind == "withcount", skip_empty, 300)
-    data = b"".join(lines)
-    if not final_newline:
-        data = data[:-1]
-    want_stats = ReadStats()
-    want = filter_corpus(read_records(io.BytesIO(data), fmt, want_stats), expr)
-    out, reject, stats = io.BytesIO(), io.BytesIO(), ReadStats()
-    summary = filter_stream(io.BytesIO(data), fmt, expr, out, reject, stats)
-    assert summary == want
-    assert stats == want_stats
-    assert stats.truncated > 0 and summary.compliant > 0 and summary.rejected > 0
-    assert (out.getvalue(), reject.getvalue()) == _expected_split(lines, fmt, expr)
-    # None sinks discard but count the same.
-    assert filter_stream(io.BytesIO(data), fmt, expr, None, None) == want
+    lines, data = _dirty_data(chunk, kind, skip_empty, final_newline)
+    for expr in STREAM_POLICIES:
+        want_stats = ReadStats()
+        want = filter_corpus(read_records(io.BytesIO(data), fmt, want_stats), expr)
+        out, reject, stats = io.BytesIO(), io.BytesIO(), ReadStats()
+        summary = filter_stream(io.BytesIO(data), fmt, expr, out, reject, stats)
+        assert summary == want, expr
+        assert stats == want_stats
+        assert stats.truncated > 0 and summary.compliant > 0
+        if expr.constraints:
+            assert summary.rejected > 0, expr
+        else:
+            assert summary.rejected == 0 and reject.getvalue() == b""
+            assert out.getvalue().count(b"\n") == stats.records
+        expected = _expected_split(lines, fmt, expr)
+        assert (out.getvalue(), reject.getvalue()) == expected, expr
+        # None sinks discard but count the same.
+        assert filter_stream(io.BytesIO(data), fmt, expr, None, None) == want
+
+
+@pytest.mark.parametrize("kind", ["plain", "withcount"])
+def test_filter_stream_empty_policy_classifies_nothing(monkeypatch, kind):
+    def refuse(*args):
+        raise AssertionError("the empty policy classified a batch")
+
+    monkeypatch.setattr(policy, "batch_columns", refuse)
+    monkeypatch.setattr(corpus, "MAX_LINE_BYTES", 300)
+    fmt = CorpusFormat(kind)
+    lines, data = _dirty_data(4096, kind, False, True)
+    out, stats = io.BytesIO(), ReadStats()
+    summary = filter_stream(io.BytesIO(data), fmt, PolicyExpr(), out, None, stats)
+    assert (out.getvalue(), b"") == _expected_split(lines, fmt, PolicyExpr())
+    assert summary.rejected == 0 and stats.records == len(lines)
+
+
+@pytest.mark.parametrize("kind", ["plain", "withcount"])
+def test_filter_stream_writes_nothing_for_an_empty_side(kind):
+    # One batch of compliant lines, then one of rejected lines: each batch
+    # has one empty side, which must get no bytes, not even a newline.
+    good = [b"%d good%d" % (i + 1, i) for i in range(corpus._BATCH_LINES)]
+    bad = [b"%d bad" % (i + 1) for i in range(corpus._BATCH_LINES)]
+    if kind == "plain":
+        good = [line.split(b" ", 1)[1] for line in good]
+        bad = [line.split(b" ", 1)[1] for line in bad]
+    fmt, expr = CorpusFormat(kind), parse_policy("length>=5,digits>=1")
+    for first, second in ((good, bad), (bad, good), (good, good), (bad, bad)):
+        data = b"".join(line + b"\n" for line in first + second)
+        out, reject = io.BytesIO(), io.BytesIO()
+        filter_stream(io.BytesIO(data), fmt, expr, out, reject)
+        kept = [line for line in first + second if line in good]
+        dropped = [line for line in first + second if line in bad]
+        assert out.getvalue() == b"".join(line + b"\n" for line in kept)
+        assert reject.getvalue() == b"".join(line + b"\n" for line in dropped)
 
 
 @pytest.mark.parametrize(
